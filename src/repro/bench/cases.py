@@ -668,7 +668,7 @@ def _defended_workload(quick: bool, seed: int, defend: bool, hedge: bool):
                 "15% budget",
 )
 def serving_hedged_tail(quick: bool, seed: int) -> CaseRun:
-    """Three legs over the identical trace + fault plan: bare engine,
+    """Three legs over the identical trace + fault plan: defenses off,
     defenses without hedging (isolates the breaker/brownout effect), and
     the full defense stack.  ``p99_cut_ratio`` is the headline — how many
     times the defended tail beats the undefended one."""

@@ -16,10 +16,11 @@ reconciles the books:
   engage: the phi-accrual detector raises suspicion, circuit breakers
   trip on the gray replica, hedged requests win races, and the wasted
   duplicate work stays under the 15 % budget;
-* with defenses **off** (``--no-defend``), the same faults run against
-  the bare engine — zero loss must *still* hold (it is structural, not a
-  defense), proving the invariant does not depend on the defense layer
-  being armed;
+* with defenses **off** (``--no-defend``), the same faults run through
+  the same dispatch path with probes, hedges and fault-avoiding
+  placement unarmed — zero loss must *still* hold (it is structural,
+  not a defense), proving the invariant does not depend on the defense
+  layer being armed;
 * the storage sidecar must report the OST loss as a *gray* state
   (``ok`` but ``degraded``) through :meth:`ParallelFileSystem.health`
   and come back clean after recovery.
@@ -224,7 +225,8 @@ def run_chaos_drill(seed: int = 0, quick: bool = False, defend: bool = True
             registry=registry,
         )
         pfs.recover_target(seed % pfs.n_targets)
-        recovered = pfs.healthy
+        restored = pfs.health()
+        recovered = restored.ok and not restored.degraded
         prometheus = registry.to_prometheus()
 
     m = report.metrics

@@ -28,7 +28,6 @@ from repro.serving.defense import (
     HedgePolicy,
 )
 from repro.serving.engine import (
-    SERVING_RETRY,
     HedgeGroup,
     ServingConfig,
     ServingEngine,
@@ -72,7 +71,6 @@ __all__ = [
     "ReplicaPool",
     "Request",
     "ResultCache",
-    "SERVING_RETRY",
     "ScaleEvent",
     "ServingConfig",
     "ServingEngine",

@@ -107,8 +107,8 @@ class AdmissionController:
         degradation signals (see
         :class:`~repro.serving.defense.BrownoutLevel`): at level >= 2 the
         bronze tier is shed, at level 3 only requests servable from the
-        cache (``cacheable``) are admitted.  Defaults reproduce the
-        pre-defense gate exactly.
+        cache (``cacheable``) are admitted.  The engine always passes
+        all three; at level 0 (NORMAL) they do not gate anything.
         """
         if not self._bucket.try_take(now):
             self.n_rate_limited += 1

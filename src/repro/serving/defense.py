@@ -37,7 +37,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.core.stats import percentile
-from repro.resilience.detect import DetectorConfig
 
 
 def _stable_uniform(seed: int, key: str, attempt: int) -> float:
@@ -283,35 +282,20 @@ class BrownoutController:
                 if self.level >= BrownoutLevel.STRETCH_BATCH else 1.0)
 
 
-# -- the bundle the engine consumes ------------------------------------------
+# -- the switch the engine consumes -------------------------------------------
 @dataclass(frozen=True)
 class DefenseConfig:
-    """Every defense knob in one place; disabled by default.
+    """Arms the defense plane; disabled by default.
 
-    ``enabled=False`` keeps the serving engine byte-identical to its
-    pre-defense behaviour — existing reports, digests and baselines do
-    not move.  The chaos drill, the serving CLI's ``--defend`` flag and
-    the hedging bench case opt in.
+    The engine always runs one dispatch path with the retry budget and
+    deadline-aware failover backoff.  ``enabled`` arms health probes
+    (which feed the detector, breakers and brownout ladder), hedged
+    requests and placement that avoids faulted nodes; ``hedging_enabled``
+    turns hedging off on its own (the bench control leg runs breakers and
+    brownout but no hedging to isolate the tail effect).  The chaos
+    drill, the serving CLI's ``--defend`` flag and the hedging bench case
+    opt in.
     """
 
     enabled: bool = False
-    #: Simulated seconds between health-probe rounds.
-    heartbeat_interval_s: float = 0.05
-    detector: DetectorConfig = field(default_factory=DetectorConfig)
-    breaker: BreakerPolicy = field(default_factory=BreakerPolicy)
-    hedge: HedgePolicy = field(default_factory=HedgePolicy)
-    brownout: BrownoutPolicy = field(default_factory=BrownoutPolicy)
-    #: Hedging on/off independently of the rest (the bench control leg
-    #: runs breakers+brownout but no hedging to isolate the tail effect).
     hedging_enabled: bool = True
-    #: Retry tokens earned per admitted request (Google-SRE retry budget).
-    retry_budget_ratio: float = 0.2
-    retry_budget_burst: float = 50.0
-
-    def __post_init__(self) -> None:
-        if self.heartbeat_interval_s <= 0:
-            raise ValueError("heartbeat_interval_s must be positive")
-        if self.retry_budget_ratio < 0:
-            raise ValueError("retry_budget_ratio must be non-negative")
-        if self.retry_budget_burst < 1:
-            raise ValueError("retry_budget_burst must hold >= 1 token")

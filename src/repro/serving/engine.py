@@ -10,9 +10,18 @@ plus two control loops: the **autoscaler** ticks on a fixed interval and
 resizes the pool from queue depth and the recent latency tail, and the
 **failover** path consumes :class:`~repro.resilience.faults.FaultInjector`
 node crashes — a dead replica's in-flight batch is cancelled, its requests
-re-queued at the head after a :class:`~repro.resilience.retry.RetryPolicy`
-backoff, and a replacement replica is placed.  Admitted requests are never
-lost; late ones are counted as deadline misses, honestly.
+re-queued at the head after a deadline-clamped
+:class:`~repro.resilience.retry.RetryPolicy` backoff charged to the
+:class:`~repro.resilience.retry.RetryBudget`, and a replacement replica is
+placed.  Admitted requests are never lost; late ones are counted as
+deadline misses, honestly.
+
+There is one dispatch path.  The detector, breakers, retry budget and
+brownout controller always exist; ``DefenseConfig.enabled`` only decides
+whether health probes run, hedges are issued and placement avoids
+faulted nodes.  With probes off the breakers stay closed and the
+brownout ladder stays at NORMAL, so the undefended engine is the same
+path with its gates idle.
 
 Everything is seeded and event-ordered, so two runs of the same config
 produce byte-identical reports — asserted by the test suite.
@@ -20,7 +29,7 @@ produce byte-identical reports — asserted by the test suite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -42,10 +51,12 @@ from repro.serving.admission import AdmissionController, AdmissionPolicy
 from repro.serving.batcher import BatchPolicy, MicroBatcher
 from repro.serving.cache import ResultCache
 from repro.serving.defense import (
+    BreakerPolicy,
     BreakerState,
     BrownoutController,
     CircuitBreaker,
     DefenseConfig,
+    HedgePolicy,
     _stable_uniform,
 )
 from repro.serving.metrics import ServingMetrics
@@ -62,15 +73,18 @@ from repro.simnet.link import PartitionWindow
 
 #: Backoff used when failing drained requests over to surviving replicas.
 #: Much shorter than the batch scheduler's default (serving budgets are
-#: sub-second), generous retry head-room so a drill can never exhaust it.
-#: .. deprecated:: quasi-unbounded retrying amplifies overload; with
-#:    defenses enabled the engine instead pairs a short schedule with a
-#:    :class:`~repro.resilience.retry.RetryBudget` and deadline-aware
-#:    ``delay_within`` clamping.  Kept as the legacy default so
-#:    pre-defense runs replay byte-identically.
-SERVING_RETRY = RetryPolicy(max_retries=64, base_delay_s=0.02,
-                            backoff_factor=2.0, jitter=0.25,
-                            max_delay_s=5.0)
+#: sub-second); ``delay_within`` clamps each delay to the drained batch's
+#: earliest deadline, and the retry budget charges every failover.
+_FAILOVER_RETRY = RetryPolicy(max_retries=64, base_delay_s=0.02,
+                              backoff_factor=2.0, jitter=0.25,
+                              max_delay_s=5.0)
+#: Simulated seconds between health-probe rounds (defenses on).
+_HEARTBEAT_INTERVAL_S = 0.05
+_BREAKER = BreakerPolicy()
+_HEDGE = HedgePolicy()
+#: Retry tokens earned per admitted request (Google-SRE retry budget).
+_RETRY_BUDGET_RATIO = 0.2
+_RETRY_BUDGET_BURST = 50.0
 
 #: Post-heal retransmission cost for a response held across a partition.
 _PARTITION_RETRANSMIT_S = 1e-3
@@ -111,7 +125,7 @@ class ServingConfig:
     #: Lognormal sigma multiplying batch service times (0 = analytic model).
     service_jitter: float = 0.0
     #: Partition/gray-failure defenses (disabled by default — enabling
-    #: changes dispatch, admission and failover behaviour).
+    #: arms health probes, hedging and fault-avoiding placement).
     defense: DefenseConfig = field(default_factory=DefenseConfig)
 
     def __post_init__(self) -> None:
@@ -138,8 +152,8 @@ class ServingReport:
     module_replica_seconds: dict[str, float]
     #: Batches actually computed: (replica id, request ids in batch order).
     batch_log: list[tuple[int, tuple[int, ...]]]
-    #: Defense-layer outcome (all zero / empty unless defenses ran).
-    defense_enabled: bool = False
+    #: Defense-layer outcome (probe, breaker, hedge and brownout counters
+    #: stay zero / empty unless defenses ran).
     partition_windows: int = 0
     gray_episodes: int = 0
     held_responses: int = 0
@@ -210,7 +224,7 @@ class ServingReport:
             util = busy / lifetime if lifetime > 0 else 0.0
             rows.append(f"  replicas[{key:<6}] : {lifetime:10.2f} node-s, "
                         f"util {util:6.1%}")
-        if self.defense_enabled:
+        if self.config.defense.enabled:
             path = "->".join(str(level) for level in
                              (0,) + self.brownout_path)
             rows += [
@@ -239,15 +253,12 @@ class ServingEngine:
         self,
         config: ServingConfig,
         system: Optional[MSASystem] = None,
-        perf: Optional[InferencePerfModel] = None,
         fault_injector: Optional[FaultInjector] = None,
-        retry_policy: Optional[RetryPolicy] = None,
         registry: Optional[telemetry.MetricsRegistry] = None,
     ) -> None:
         self.config = config
         self.tracer = telemetry.get_tracer()
         self.system = system if system is not None else small_msa_system()
-        self.perf = perf if perf is not None else InferencePerfModel()
         self.sim = Simulator()
         self.requests = generate_trace(config.trace)
         self.batcher = MicroBatcher(config.batch)
@@ -255,19 +266,13 @@ class ServingEngine:
         self.cache = ResultCache(config.cache_capacity)
         ref_batch = (config.batch.max_batch_requests
                      * config.trace.samples_per_request)
-        self.pool = ReplicaPool(self.system, self.perf,
+        self.pool = ReplicaPool(self.system, InferencePerfModel(),
                                 nodes_per_replica=config.nodes_per_replica,
                                 reference_batch_samples=ref_batch)
         self.autoscaler = Autoscaler(config.autoscaler)
         self.metrics = ServingMetrics(duration_s=config.trace.duration_s,
                                       registry=registry)
-        self.retry = retry_policy if retry_policy is not None else \
-            RetryPolicy(max_retries=SERVING_RETRY.max_retries,
-                        base_delay_s=SERVING_RETRY.base_delay_s,
-                        backoff_factor=SERVING_RETRY.backoff_factor,
-                        jitter=SERVING_RETRY.jitter,
-                        max_delay_s=SERVING_RETRY.max_delay_s,
-                        seed=config.trace.seed)
+        self.retry = replace(_FAILOVER_RETRY, seed=config.trace.seed)
         self.failover_events: list[FailoverEvent] = []
         self.batch_log: list[tuple[int, tuple[int, ...]]] = []
         self.peak_replicas = 0
@@ -281,14 +286,12 @@ class ServingEngine:
         self._window: list[float] = []
         self._jitter_rng = np.random.default_rng(config.trace.seed + 0x5EED)
         self._ran = False
-        # -- defense state (inert unless config.defense.enabled) ----------
-        d = config.defense
-        self.detector = PhiAccrualDetector(d.detector) if d.enabled else None
+        # -- defense state (probes only run when config.defense.enabled) --
+        self.detector = PhiAccrualDetector()
         self.breakers: dict[int, CircuitBreaker] = {}
-        self.budget = RetryBudget(ratio=d.retry_budget_ratio,
-                                  burst=d.retry_budget_burst) \
-            if d.enabled else None
-        self.brownout = BrownoutController(d.brownout) if d.enabled else None
+        self.budget = RetryBudget(ratio=_RETRY_BUDGET_RATIO,
+                                  burst=_RETRY_BUDGET_BURST)
+        self.brownout = BrownoutController()
         #: Recent batch service times feeding the hedge deadline estimate.
         self._service_window: list[float] = []
         #: (module, node) -> (end_s, slowdown factor, probe-answer prob).
@@ -326,9 +329,8 @@ class ServingEngine:
             self.sim.timeout(self.config.autoscaler.interval_s,
                              name="autoscale-tick"
                              ).add_callback(self._on_tick)
-        if self.detector is not None:
-            self.sim.timeout(self.config.defense.heartbeat_interval_s,
-                             name="heartbeat-tick"
+        if self.config.defense.enabled:
+            self.sim.timeout(_HEARTBEAT_INTERVAL_S, name="heartbeat-tick"
                              ).add_callback(self._on_heartbeat_tick)
         self.sim.run()
         self.metrics.check_conservation()
@@ -348,37 +350,28 @@ class ServingEngine:
             final_replicas=final,
             module_replica_seconds=dict(self.pool.module_lifetime_s),
             batch_log=list(self.batch_log),
-            defense_enabled=self.config.defense.enabled,
             partition_windows=len(self._partitions),
             gray_episodes=self.gray_episodes,
             held_responses=self.held_responses,
-            suspicion_events=(len(self.detector.suspicion_log)
-                              if self.detector is not None else 0),
+            suspicion_events=len(self.detector.suspicion_log),
             breaker_transitions=self._retired_breaker_transitions + sum(
                 len(b.transitions) for b in self.breakers.values()),
             brownout_path=tuple(
-                to for _, _, to in self.brownout.transitions)
-            if self.brownout is not None else (),
-            retry_budget_spent=(self.budget.spent
-                                if self.budget is not None else 0.0),
-            retry_budget_refused=(self.budget.refused
-                                  if self.budget is not None else 0),
-            retry_budget_overdraft=(self.budget.forced_overdraft
-                                    if self.budget is not None else 0.0),
+                to for _, _, to in self.brownout.transitions),
+            retry_budget_spent=self.budget.spent,
+            retry_budget_refused=self.budget.refused,
+            retry_budget_overdraft=self.budget.forced_overdraft,
         )
 
     # -- arrival path ---------------------------------------------------------
     def _on_arrival(self, evt) -> None:
         req: Request = evt.value
         now = self.sim.now
-        if self.brownout is not None:
-            decision = self.admission.decide(
-                now, self.batcher.depth,
-                brownout_level=int(self.brownout.level),
-                tier=req.tier,
-                cacheable=self.cache.contains(req.key))
-        else:
-            decision = self.admission.decide(now, self.batcher.depth)
+        decision = self.admission.decide(
+            now, self.batcher.depth,
+            brownout_level=int(self.brownout.level),
+            tier=req.tier,
+            cacheable=self.cache.contains(req.key))
         if not decision.admitted:
             self.metrics.record_rejection(decision.reason)
             detail = {"detail": decision.detail} if decision.detail else {}
@@ -387,8 +380,7 @@ class ServingEngine:
                                 req=req.req_id, **detail)
             return
         self.metrics.record_admission()
-        if self.budget is not None:
-            self.budget.note_request()
+        self.budget.note_request()
         self.tracer.instant("admit", "serving", now, track="serving",
                             lane="admission", req=req.req_id)
         outcome = self.cache.lookup(req.key, req.req_id)
@@ -417,15 +409,13 @@ class ServingEngine:
     # -- dispatch -------------------------------------------------------------
     def _dispatchable(self, replica: Replica, now: float) -> bool:
         """May new work start on ``replica``?  (Breaker-gated.)"""
-        breaker = self.breakers.get(replica.rid)
-        return breaker is None or breaker.allows_dispatch(now)
+        return self.breakers[replica.rid].allows_dispatch(now)
 
     def _kick(self) -> None:
         now = self.sim.now
         while True:
-            idle = self.pool.idle_replicas()
-            if self.detector is not None:
-                idle = [r for r in idle if self._dispatchable(r, now)]
+            idle = [r for r in self.pool.idle_replicas()
+                    if self._dispatchable(r, now)]
             if not idle:
                 break
             model = self.batcher.ready_model(now)
@@ -464,10 +454,9 @@ class ServingEngine:
                                 name=f"batch-done-r{replica.rid}")
         done.add_callback(self._on_batch_done)
         batch.done_evt = done
-        if (self.detector is not None
-                and self.config.defense.hedging_enabled and group is None):
-            deadline = self.config.defense.hedge.deadline(
-                self._service_window)
+        d = self.config.defense
+        if d.enabled and d.hedging_enabled and group is None:
+            deadline = _HEDGE.deadline(self._service_window)
             if deadline is not None:
                 timer = self.sim.timeout(deadline, value=(replica, batch),
                                          name=f"hedge-r{replica.rid}")
@@ -516,7 +505,7 @@ class ServingEngine:
                    if r.rid != replica.rid and self._dispatchable(r, now)]
         if not backups:
             return
-        if self.budget is not None and not self.budget.try_spend():
+        if not self.budget.try_spend():
             return  # budget dry: the hedge is optional work — skip it
         group = HedgeGroup(requests=batch.requests,
                            primary_rid=replica.rid,
@@ -551,9 +540,7 @@ class ServingEngine:
             backup_won = replica.rid != group.primary_rid
             wasted = self._cancel_hedge_losers(group, replica.rid, now)
             self.metrics.record_hedge_resolved(backup_won, wasted)
-            winner_breaker = self.breakers.get(replica.rid)
-            if winner_breaker is not None:
-                winner_breaker.record_success(now)
+            self.breakers[replica.rid].record_success(now)
             self.tracer.instant("hedge-won", "serving", now,
                                 track="serving", lane="hedge",
                                 winner=replica.rid, backup_won=backup_won,
@@ -567,11 +554,10 @@ class ServingEngine:
                                   (now - batch.start) * len(replica.nodes))
         self.batch_log.append(
             (replica.rid, tuple(r.req_id for r in batch.requests)))
-        if self.detector is not None:
-            self._service_window.append(now - batch.start)
-            excess = len(self._service_window) - self.config.defense.hedge.window
-            if excess > 0:
-                del self._service_window[:excess]
+        self._service_window.append(now - batch.start)
+        excess = len(self._service_window) - _HEDGE.window
+        if excess > 0:
+            del self._service_window[:excess]
         for req in batch.requests:
             self._complete(req)
             for waiter_id in self.cache.complete(req.key, now):
@@ -597,9 +583,7 @@ class ServingEngine:
                 # feeding it to the breaker is what actually quarantines
                 # a gray replica (probes alone flap: gray still answers
                 # them with probability q).
-                breaker = self.breakers.get(rid)
-                if breaker is not None:
-                    breaker.record_failure(now)
+                self.breakers[rid].record_failure(now)
             group.sides.pop(rid, None)
         return wasted
 
@@ -643,19 +627,14 @@ class ServingEngine:
                               for r in drained)
             for r in drained:
                 self._retries[r.req_id] = attempt
-            if self.budget is not None:
-                # Failover of admitted requests is mandatory work: the
-                # budget is charged unconditionally, and an overdraft is
-                # one of the signals the brownout controller escalates on.
-                self.budget.spend_forced(float(len(drained)))
-                earliest = min(r.deadline_s for r in drained)
-                backoff = self.retry.delay_within(
-                    min(attempt, self.retry.max_retries), now, earliest,
-                    key=f"replica-{replica.rid}")
-            else:
-                backoff = self.retry.delay(min(attempt,
-                                               self.retry.max_retries),
-                                           key=f"replica-{replica.rid}")
+            # Failover of admitted requests is mandatory work: the budget
+            # is charged unconditionally, and an overdraft is one of the
+            # signals the brownout controller escalates on.
+            self.budget.spend_forced(float(len(drained)))
+            earliest = min(r.deadline_s for r in drained)
+            backoff = self.retry.delay_within(
+                min(attempt, self.retry.max_retries), now, earliest,
+                key=f"replica-{replica.rid}")
             requeue = self.sim.timeout(backoff, value=drained,
                                        name=f"failover-r{replica.rid}")
             requeue.add_callback(self._on_failover_requeue)
@@ -739,18 +718,16 @@ class ServingEngine:
         return True
 
     def _on_heartbeat_tick(self, evt) -> None:
-        d = self.config.defense
         now = self.sim.now
         self._hb_tick += 1
         for replica in list(self.pool.replicas.values()):
             if not replica.up:
                 continue
-            breaker = self.breakers.get(replica.rid)
+            breaker = self.breakers[replica.rid]
             if self._probe_answered(replica, now):
                 self.detector.heartbeat(replica.rid, now)
-                if breaker is not None:
-                    breaker.record_success(now)
-            elif breaker is not None:
+                breaker.record_success(now)
+            else:
                 breaker.record_failure(now)
             self.detector.suspect(replica.rid, now)
         self._export_breaker_transitions(now)
@@ -767,11 +744,24 @@ class ServingEngine:
                                 lane="brownout", from_level=int(old),
                                 to_level=int(new))
             self._kick()
+        elif self._stalled(now):
+            self._kick()
         drained = (self.metrics.completed == self.metrics.admitted)
         past_horizon = now >= self.config.trace.duration_s
         if not (past_horizon and drained):
-            self.sim.timeout(d.heartbeat_interval_s, name="heartbeat-tick"
+            self.sim.timeout(_HEARTBEAT_INTERVAL_S, name="heartbeat-tick"
                              ).add_callback(self._on_heartbeat_tick)
+
+    def _stalled(self, now: float) -> bool:
+        """Is a ready batch waiting with no batch in flight anywhere?
+
+        Then no completion will kick the dispatcher: the breakers gated
+        every idle replica at the last kick, and under CACHE_ONLY
+        brownout no arrival reaches the queue either.  The probe round
+        that may have reopened a breaker has to kick instead.
+        """
+        return (all(r.inflight is None for r in self.pool.replicas.values())
+                and self.batcher.ready_model(now) is not None)
 
     def _export_breaker_transitions(self, now: float) -> None:
         """Emit breaker state changes since the last tick as telemetry."""
@@ -786,29 +776,21 @@ class ServingEngine:
 
     # -- replica registration -------------------------------------------------
     def _register_replica(self, replica: Replica) -> None:
-        if self.detector is None:
-            return
-        now = self.sim.now
-        self.detector.register(replica.rid, now)
+        self.detector.register(replica.rid, self.sim.now)
         self.breakers[replica.rid] = CircuitBreaker(
-            self.config.defense.breaker, key=f"replica-{replica.rid}",
-            seed=self._fault_seed)
+            _BREAKER, key=f"replica-{replica.rid}", seed=self._fault_seed)
         self._breaker_seen[replica.rid] = 0
 
     def _unregister_replica(self, rid: int) -> None:
-        if self.detector is None:
-            return
         self.detector.forget(rid)
-        breaker = self.breakers.get(rid)
-        if breaker is not None:
-            self._export_breaker_transitions(self.sim.now)
-            self._retired_breaker_transitions += len(breaker.transitions)
-            del self.breakers[rid]
+        self._export_breaker_transitions(self.sim.now)
+        self._retired_breaker_transitions += len(
+            self.breakers.pop(rid).transitions)
         self._breaker_seen.pop(rid, None)
 
     def _placement_avoid(self) -> Optional[dict[str, set[int]]]:
         """Nodes the health layer wants new replicas kept away from."""
-        if self.detector is None:
+        if not self.config.defense.enabled:
             return None
         now = self.sim.now
         avoid: dict[str, set[int]] = {}
@@ -876,13 +858,10 @@ class ServingEngine:
 def simulate_serving(
     config: ServingConfig,
     system: Optional[MSASystem] = None,
-    perf: Optional[InferencePerfModel] = None,
     fault_injector: Optional[FaultInjector] = None,
-    retry_policy: Optional[RetryPolicy] = None,
     registry: Optional[telemetry.MetricsRegistry] = None,
 ) -> ServingReport:
     """Convenience wrapper: build an engine, run it, return the report."""
-    return ServingEngine(config, system=system, perf=perf,
+    return ServingEngine(config, system=system,
                          fault_injector=fault_injector,
-                         retry_policy=retry_policy,
                          registry=registry).run()

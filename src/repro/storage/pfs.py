@@ -190,12 +190,6 @@ class ParallelFileSystem:
         """Push the current health report through the telemetry path."""
         self.health().publish(telemetry.get_registry(), 0.0)
 
-    @property
-    def healthy(self) -> bool:
-        """Bare-bool view of :meth:`health` (kept for existing callers)."""
-        report = self.health()
-        return report.ok and not report.degraded
-
     # -- timing ----------------------------------------------------------------
     def read_time(
         self,

@@ -251,9 +251,11 @@ class TestPfsFailureInjection:
         f = pfs.create("/x", GiB, stripe_count=4)
         base = pfs.read_time(f)
         pfs.fail_target(0)
-        assert not pfs.healthy
+        impaired = pfs.health()
+        assert not (impaired.ok and not impaired.degraded)
         pfs.recover_target(0)
-        assert pfs.healthy
+        restored = pfs.health()
+        assert restored.ok and not restored.degraded
         assert pfs.read_time(f) == pytest.approx(base)
 
     def test_invalid_target(self):

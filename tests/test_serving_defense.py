@@ -202,17 +202,6 @@ class TestBrownoutController:
         assert ctl.wait_stretch == 4.0
 
 
-class TestDefenseConfigValidation:
-    @pytest.mark.parametrize("kwargs", [
-        {"heartbeat_interval_s": 0.0},
-        {"retry_budget_ratio": -0.1},
-        {"retry_budget_burst": 0.5},
-    ])
-    def test_bad_values_rejected(self, kwargs):
-        with pytest.raises(ValueError):
-            DefenseConfig(**kwargs)
-
-
 # -- the defended engine end to end -------------------------------------------
 def _gray_scenario(defend: bool, hedging: bool = True, seed: int = 11):
     """One gray-failed replica out of three, pinned capacity."""
@@ -269,8 +258,28 @@ class TestDefendedEngine:
         assert a == b
         assert "hedging" in a and "brownout" in a
 
+    def test_lone_gated_replica_resumes_after_breaker_recovers(self):
+        """One replica, breaker tripped by a gray episode, brownout at
+        CACHE_ONLY: the probe round that recovers the breaker must
+        restart dispatch, or the queue (and the run) never drains."""
+        plan = FaultPlan(seed=1, specs=(
+            FaultSpec(kind=FaultKind.GRAY_FAILURE, time=0.5, module="esb",
+                      node=0, duration=1.5, magnitude=6.0, probability=0.6),
+        ))
+        config = ServingConfig(
+            trace=TraceConfig(rate_per_s=150.0, duration_s=3.0, seed=1,
+                              bronze_fraction=0.3),
+            initial_replicas=1,
+            cache_capacity=32,
+            autoscaler=AutoscalerConfig(enabled=False),
+            defense=DefenseConfig(enabled=True),
+        )
+        report = simulate_serving(config, fault_injector=FaultInjector(plan))
+        assert report.breaker_transitions > 0
+        assert report.metrics.admitted == report.metrics.completed
+
     def test_defense_off_is_byte_identical_to_legacy(self):
-        """DefenseConfig(enabled=False) must not perturb existing runs."""
+        """The default config is the explicit ``DefenseConfig(enabled=False)``."""
         config = ServingConfig(
             trace=TraceConfig(rate_per_s=80.0, duration_s=4.0, seed=3),
             initial_replicas=2,

@@ -180,6 +180,38 @@ class TestFailover:
         assert rep.metrics.failovers == 0
         assert rep.metrics.completed == rep.metrics.admitted
 
+    def test_undefended_backoff_never_sleeps_past_the_deadline(
+            self, make_small_system):
+        """Failover backoff is clamped to the drained batch's earliest
+        deadline, with or without the defense plane armed."""
+        cfg = ServingConfig(
+            trace=TraceConfig(rate_per_s=150.0, duration_s=25.0, seed=3,
+                              slo_deadline_s=0.01, samples_per_request=64,
+                              key_universe=1 << 20),
+            autoscaler=AutoscalerConfig(enabled=False),
+            initial_replicas=2,
+        )
+        engine = ServingEngine(cfg, system=make_small_system(),
+                               fault_injector=FaultInjector(
+                                   _crash_plan(5.0)))
+        drained_batches = []
+        crash = engine.pool.crash
+
+        def recording_crash(replica, node, now):
+            drained = crash(replica, node, now)
+            drained_batches.append(list(drained))
+            return drained
+
+        engine.pool.crash = recording_crash
+        rep = engine.run()
+        assert rep.metrics.requests_failed_over > 0
+        assert len(rep.failover_events) == len(drained_batches)
+        for event, drained in zip(rep.failover_events, drained_batches):
+            if not drained:
+                continue
+            earliest = min(r.deadline_s for r in drained)
+            assert event.backoff_s <= max(0.0, earliest - event.time)
+
     def test_failover_latency_is_visible_in_the_tail(self, make_small_system):
         """Honest reporting: the drill may cost latency, never requests."""
         cfg = _config(rate=150.0, duration=25.0, replicas=2, seed=11)

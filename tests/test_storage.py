@@ -234,7 +234,8 @@ class TestPfsHealth:
         report = pfs.health()
         assert report.ok and not report.degraded
         assert report.suspicion == 0.0
-        assert pfs.healthy
+        clean = pfs.health()
+        assert clean.ok and not clean.degraded
 
     def test_ost_loss_is_gray_not_dead(self):
         pfs = ParallelFileSystem("fs", n_targets=4)
@@ -244,7 +245,8 @@ class TestPfsHealth:
         assert report.degraded      # but visibly impaired
         assert "1/4 OSTs failed" in report.detail
         assert report.suspicion > 0.0
-        assert not pfs.healthy
+        impaired = pfs.health()
+        assert not (impaired.ok and not impaired.degraded)
 
     def test_total_loss_is_dead(self):
         pfs = ParallelFileSystem("fs", n_targets=2)
@@ -256,7 +258,8 @@ class TestPfsHealth:
         pfs = ParallelFileSystem("fs", n_targets=4)
         pfs.fail_target(2)
         pfs.recover_target(2)
-        assert pfs.healthy
+        restored = pfs.health()
+        assert restored.ok and not restored.degraded
 
     def test_health_published_to_enabled_registry(self):
         from repro import telemetry
