@@ -19,7 +19,7 @@ Three claims about the silent-corruption layer:
   runs ~4x faster than CRC32, so the verified path typically comes in
   *under* the baseline despite doing strictly more checking.
 * **determinism** — two same-seed SDC drills render byte-identical
-  report and Prometheus artifacts (the property CI's drill job relies
+  report, metrics, trace and summary files (the property CI relies
   on to diff runs).
 
 Runs standalone too (CI smoke): ``python
@@ -38,12 +38,12 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 from repro import telemetry                              # noqa: E402
 from repro.distributed.horovod import run_elastic_training  # noqa: E402
 from repro.ml.models import MLP                          # noqa: E402
-from repro.resilience.drill import run_sdc_drill         # noqa: E402
 from repro.resilience.integrity import IntegrityConfig   # noqa: E402
 from repro.resilience.policy import CheckpointPolicy     # noqa: E402
 from repro.storage.checkpoint import CheckpointManager   # noqa: E402
 from repro.storage.nam import NetworkAttachedMemory      # noqa: E402
 from repro.storage.pfs import ParallelFileSystem         # noqa: E402
+from repro.telemetry.scenarios import run_scenario     # noqa: E402
 
 from conftest import emit_table  # noqa: E402
 
@@ -161,15 +161,11 @@ DETERMINISM_HEADER = ["artifact", "bytes", "byte-identical"]
 
 
 def measure_determinism(quick: bool = True):
-    report_a, prom_a = run_sdc_drill(seed=0, quick=quick, verify=True)
-    report_b, prom_b = run_sdc_drill(seed=0, quick=quick, verify=True)
-    text_a, text_b = report_a.to_text(), report_b.to_text()
-    rows = [["report.txt", len(text_a),
-             "yes" if text_a == text_b else "NO"],
-            ["metrics.prom", len(prom_a),
-             "yes" if prom_a == prom_b else "NO"]]
-    identical = text_a == text_b and prom_a == prom_b
-    return identical and report_a.ok, rows
+    run_a = run_scenario("sdc", seed=0, quick=quick)
+    b = run_scenario("sdc", seed=0, quick=quick).files
+    rows = [[name, len(body), "yes" if body == b[name] else "NO"]
+            for name, body in run_a.files.items()]
+    return run_a.files == b and run_a.ok, rows
 
 
 def test_training_overhead(benchmark):

@@ -25,7 +25,7 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 from repro import telemetry                              # noqa: E402
 from repro.serving.engine import ServingConfig, simulate_serving  # noqa: E402
 from repro.serving.request import TraceConfig            # noqa: E402
-from repro.telemetry.scenarios import trace_serving_scenario  # noqa: E402
+from repro.telemetry.scenarios import run_scenario     # noqa: E402
 
 from conftest import emit_table  # noqa: E402
 
@@ -87,17 +87,11 @@ DETERMINISM_HEADER = ["artifact", "bytes", "byte-identical"]
 
 
 def measure_determinism(quick: bool):
-    a = trace_serving_scenario(seed=0, quick=quick)
-    b = trace_serving_scenario(seed=0, quick=quick)
-    rows = [["trace.json", len(a.trace_json),
-             "yes" if a.trace_json == b.trace_json else "NO"],
-            ["metrics.prom", len(a.prometheus),
-             "yes" if a.prometheus == b.prometheus else "NO"],
-            ["summary.txt", len(a.summary),
-             "yes" if a.summary == b.summary else "NO"]]
-    identical = (a.trace_json == b.trace_json
-                 and a.prometheus == b.prometheus and a.summary == b.summary)
-    return identical, rows
+    a = run_scenario("serve", seed=0, quick=quick).files
+    b = run_scenario("serve", seed=0, quick=quick).files
+    rows = [[name, len(body), "yes" if body == b[name] else "NO"]
+            for name, body in a.items()]
+    return a == b, rows
 
 
 def test_tracing_overhead(benchmark):

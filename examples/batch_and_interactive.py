@@ -5,7 +5,8 @@ The operator-and-user workflow layer added on top of the MSA core:
 
 * submit ``#SBATCH``/``#PHASE`` job scripts (what the Jupyter kernels
   abstract away from medical experts — Sec. IV),
-* export the resulting schedule as a Chrome-trace Gantt chart,
+* export the resulting schedule as a Chrome-trace Gantt chart (the
+  scheduler's phase spans, captured by the telemetry layer),
 * run a co-allocated in-situ job (solver on the ESB ∥ analytics on the
   DAM — the conclusions' 'matching combinations of MSA module resources'),
 * scale inference out across ranks and verify it is exact (the paper's
@@ -14,10 +15,9 @@ The operator-and-user workflow layer added on top of the MSA core:
 Run:  python examples/batch_and_interactive.py
 """
 
-import json
-
 import numpy as np
 
+from repro import telemetry
 from repro.core import (
     CoAllocatedPhase,
     Job,
@@ -27,7 +27,7 @@ from repro.core import (
     deep_system,
     schedule_workload,
 )
-from repro.core.batch import parse_job_script, schedule_to_chrome_trace
+from repro.core.batch import parse_job_script
 from repro.distributed import distributed_evaluate, inference_scaleout_time
 from repro.ml import Adam, Tensor, cross_entropy
 from repro.ml.models import MLP
@@ -49,14 +49,16 @@ def batch_section() -> None:
     job = parse_job_script(SCRIPT)
     print(f"parsed job {job.name!r}: "
           f"{[p.name for p in job.phases]}")
-    report = schedule_workload(deep_system(), [job])
+    with telemetry.capture() as (tracer, _):
+        report = schedule_workload(deep_system(), [job])
     for alloc in report.allocations:
         print(f"  {alloc.phase_name:<20} -> {alloc.module_key:<4} "
               f"x{len(alloc.nodes):<3} [{alloc.start:>8.0f} s "
               f"… {alloc.end:>8.0f} s]")
-    trace = schedule_to_chrome_trace(report)
-    print(f"Gantt trace: {len(trace['traceEvents'])} events "
-          f"({len(json.dumps(trace))} bytes of chrome://tracing JSON)")
+    phases = [s for s in tracer.by_track("scheduler") if not s.is_instant]
+    trace = telemetry.chrome_trace_json(tracer.spans)
+    print(f"Gantt trace: {len(phases)} phase spans "
+          f"({len(trace)} bytes of chrome://tracing JSON)")
 
 
 def coallocation_section() -> None:

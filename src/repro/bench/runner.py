@@ -221,10 +221,12 @@ def compare_docs(current: Mapping[str, dict],
                  baseline: Mapping[str, dict]) -> CompareReport:
     """Diff current deterministic artifacts against a baseline set.
 
-    Budgets attached to the *current* artifact govern (the code under
-    test owns its budgets); metrics present on one side only and digest
-    drift are reported as notes, never as failures — digests pin
-    bit-exactness across same-code runs, not across code changes.
+    Budgets attached to the *baseline* govern, so a change cannot widen
+    its own tolerance; a current budget that differs is reported as a
+    note and takes effect only once ``--update-baseline`` commits it.
+    Metrics present on one side only and digest drift are reported as
+    notes, never as failures — digests pin bit-exactness across
+    same-code runs, not across code changes.
     """
     report = CompareReport()
     for area in sorted(baseline):
@@ -250,13 +252,15 @@ def compare_docs(current: Mapping[str, dict],
                 continue
             base = base_cases[cname]
             cur = cur_cases[cname]
-            budgets = cur.get("budgets") or base.get("budgets") or {}
-            for metric, budget in sorted(budgets.items()):
-                if metric not in base["metrics"]:
+            budgets = base.get("budgets") or {}
+            proposed = cur.get("budgets") or {}
+            for metric in sorted(set(budgets) | set(proposed)):
+                if budgets.get(metric) != proposed.get(metric):
                     report.notes.append(
-                        f"{area}/{cname}/{metric}: new budgeted metric "
-                        "(no baseline)")
-                    continue
+                        f"{area}/{cname}/{metric}: budget "
+                        f"{budgets.get(metric)} -> {proposed.get(metric)} "
+                        "takes effect only through --update-baseline")
+            for metric, budget in sorted(budgets.items()):
                 if metric not in cur["metrics"]:
                     report.notes.append(
                         f"{area}/{cname}/{metric}: metric dropped")

@@ -11,10 +11,13 @@ Commands mirror the operator tasks the examples walk through:
   optional fault plan) and print the serving report,
 * ``trace`` — run a canonical traced scenario under the unified telemetry
   layer and write Chrome-trace / Prometheus / summary artifacts,
-* ``drill`` — run a resilience drill; ``drill sdc`` injects silent data
-  corruption end-to-end and exits non-zero on any undetected corruption,
-  ``drill chaos`` throws partitions, gray failures and a crash at the
-  serving plane and exits non-zero if any admitted request is lost,
+* ``drill`` — run a resilience drill, writing the same artifacts plus a
+  report; ``drill sdc`` injects silent data corruption end-to-end and
+  exits non-zero on any undetected corruption, ``drill chaos`` throws
+  partitions, gray failures and a crash at the serving plane and exits
+  non-zero if any admitted request is lost (both runners are
+  :func:`repro.telemetry.scenarios.run_scenario`, which prints one
+  ``FAIL:`` line per failure reason),
 * ``bench`` — run the perf-regression harness: deterministic
   ``BENCH_<area>.json`` artifacts plus wall-clock timing companions, with
   ``--compare`` failing on budgeted-metric regressions vs the committed
@@ -183,65 +186,24 @@ def cmd_serve(args: argparse.Namespace) -> int:
     return 0 if report.meets_slo() else 1
 
 
-def cmd_trace(args: argparse.Namespace) -> int:
+def cmd_scenario(args: argparse.Namespace) -> int:
     import os
 
-    from repro.telemetry.scenarios import SCENARIOS
+    from repro.telemetry.scenarios import run_scenario
 
-    artifacts = SCENARIOS[args.scenario](seed=args.seed, quick=args.quick)
-    out_dir = args.out or os.path.join(
-        "traces", f"{args.scenario}-seed{args.seed}")
+    run = run_scenario(args.scenario, seed=args.seed, quick=args.quick,
+                       control=args.control)
+    out_dir = args.out or os.path.join(f"{args.command}s",
+                                       f"{args.scenario}-seed{args.seed}")
     os.makedirs(out_dir, exist_ok=True)
-    for filename, body in (("trace.json", artifacts.trace_json),
-                           ("metrics.prom", artifacts.prometheus),
-                           ("summary.txt", artifacts.summary)):
+    for filename, body in run.files.items():
         with open(os.path.join(out_dir, filename), "w") as fh:
             fh.write(body)
-            if not body.endswith("\n"):
-                fh.write("\n")
-    print(artifacts.summary)
-    print(f"\nartifacts written to {out_dir}/ "
-          "(trace.json, metrics.prom, summary.txt)")
-    if not artifacts.ok:
-        print("INVARIANT VIOLATIONS:", file=sys.stderr)
-        for name, labels, value in artifacts.invariant_violations:
-            print(f"  {name}{dict(labels)} = {value}", file=sys.stderr)
-        return 1
-    return 0
-
-
-def cmd_drill(args: argparse.Namespace) -> int:
-    import os
-
-    if args.kind == "chaos":
-        from repro.resilience.chaosdrill import run_chaos_drill
-
-        report, prometheus = run_chaos_drill(seed=args.seed,
-                                             quick=args.quick,
-                                             defend=not args.no_defend)
-    else:
-        from repro.resilience.drill import run_sdc_drill
-
-        report, prometheus = run_sdc_drill(seed=args.seed, quick=args.quick,
-                                           verify=not args.no_verify)
-    out_dir = args.out or os.path.join("drills",
-                                       f"{args.kind}-seed{args.seed}")
-    os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, "report.txt"), "w") as fh:
-        fh.write(report.to_text())
-    with open(os.path.join(out_dir, "metrics.prom"), "w") as fh:
-        fh.write(prometheus)
-        if not prometheus.endswith("\n"):
-            fh.write("\n")
-    print(report.to_text())
-    print(f"artifacts written to {out_dir}/ (report.txt, metrics.prom)")
-    if args.kind == "sdc" and report.verify and report.undetected > 0:
-        print(f"UNDETECTED CORRUPTION: {report.undetected:g}",
-              file=sys.stderr)
-    if args.kind == "chaos" and report.lost_requests > 0:
-        print(f"LOST ADMITTED REQUESTS: {report.lost_requests}",
-              file=sys.stderr)
-    return 0 if report.ok else 1
+    print(run.files.get("report.txt", run.files["summary.txt"]))
+    print(f"artifacts written to {out_dir}/ ({', '.join(run.files)})")
+    for reason in run.failures:
+        print(f"FAIL: {reason}", file=sys.stderr)
+    return 0 if run.ok else 1
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
@@ -368,25 +330,25 @@ def build_parser() -> argparse.ArgumentParser:
                    help="smaller workload (CI smoke)")
     p.add_argument("--out", default="",
                    help="output directory (default traces/<scenario>-seed<N>)")
-    p.set_defaults(fn=cmd_trace)
+    p.set_defaults(fn=cmd_scenario, control=False)
 
     p = sub.add_parser("drill", help="run a resilience drill")
-    p.add_argument("kind", choices=("sdc", "chaos"),
+    p.add_argument("scenario", choices=("sdc", "chaos"),
                    help="sdc: end-to-end silent-data-corruption drill; "
                         "chaos: partitions + gray failures against the "
                         "serving plane (exits non-zero on any lost request)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--quick", action="store_true",
                    help="smaller run (CI smoke)")
-    p.add_argument("--no-verify", action="store_true",
+    p.add_argument("--no-verify", dest="control", action="store_true",
                    help="sdc: disable detection to demonstrate the injector "
                         "(report shows the corrupted outcome)")
-    p.add_argument("--no-defend", action="store_true",
+    p.add_argument("--no-defend", dest="control", action="store_true",
                    help="chaos: disable the defense layer — zero loss must "
                         "still hold (it is structural, not a defense)")
     p.add_argument("--out", default="",
-                   help="output directory (default drills/<kind>-seed<N>)")
-    p.set_defaults(fn=cmd_drill)
+                   help="output directory (default drills/<scenario>-seed<N>)")
+    p.set_defaults(fn=cmd_scenario)
 
     p = sub.add_parser("bench", help="run the perf-regression harness")
     p.add_argument("--quick", action="store_true",

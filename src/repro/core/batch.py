@@ -3,8 +3,10 @@
 The health case studies stress that "job scripts ... needs to be all at
 least partly abstracted away"; this module is the thing being abstracted: a
 minimal ``#SBATCH``-style script format that compiles to the scheduler's
-:class:`~repro.core.jobs.Job` model, plus a Gantt/Chrome-trace export of a
-finished schedule so operators can inspect placements visually.
+:class:`~repro.core.jobs.Job` model.  To inspect placements visually,
+schedule under :func:`repro.telemetry.capture`: the scheduler records one
+span per phase placement, which :func:`repro.telemetry.chrome_trace_json`
+exports as a Gantt view.
 
 Script grammar (one phase per ``#PHASE`` block)::
 
@@ -25,7 +27,6 @@ import shlex
 from typing import Any
 
 from repro.core.jobs import GB, Job, JobPhase, WorkloadClass
-from repro.core.scheduler import ScheduleReport
 
 
 class BatchScriptError(ValueError):
@@ -111,29 +112,3 @@ def parse_job_script(script: str) -> Job:
     if not phases:
         raise BatchScriptError("script defines no #PHASE blocks")
     return Job(name=name, phases=phases, arrival_time=arrival)
-
-
-def schedule_to_chrome_trace(report: ScheduleReport) -> dict[str, Any]:
-    """Gantt view of a schedule as Chrome trace events (one lane per
-    module; one 'X' span per phase allocation)."""
-    modules = sorted({a.module_key for a in report.allocations})
-    lane = {key: i for i, key in enumerate(modules)}
-    events = []
-    for alloc in report.allocations:
-        events.append({
-            "name": f"{alloc.job_name}/{alloc.phase_name}",
-            "cat": "phase",
-            "ph": "X",
-            "pid": 0,
-            "tid": lane[alloc.module_key],
-            "ts": alloc.start * 1e6,
-            "dur": alloc.duration * 1e6,
-            "args": {"nodes": len(alloc.nodes),
-                     "module": alloc.module_key},
-        })
-    events.sort(key=lambda e: (e["ts"], e["tid"]))
-    meta = [{
-        "name": "thread_name", "ph": "M", "pid": 0, "tid": lane[key],
-        "args": {"name": key},
-    } for key in modules]
-    return {"traceEvents": meta + events, "displayTimeUnit": "ms"}

@@ -27,7 +27,6 @@ from repro.distributed.horovod import (
 )
 from repro.distributed.deepspeed import ZeroStage1Optimizer, ZeroStage2Optimizer
 from repro.distributed.compression import NoCompression, Fp16Compression
-from repro.distributed.timeline import Timeline, TimelineEvent, merge_timelines
 from repro.distributed.inference import (distributed_predict, distributed_evaluate,
     inference_scaleout_time, predict_in_batches, shard_bounds)
 from repro.distributed.perfmodel import (
@@ -49,9 +48,6 @@ __all__ = [
     "ZeroStage1Optimizer",
     "ZeroStage2Optimizer",
     "NoCompression",
-    "Timeline",
-    "TimelineEvent",
-    "merge_timelines",
     "distributed_predict",
     "distributed_evaluate",
     "inference_scaleout_time",

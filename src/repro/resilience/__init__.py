@@ -15,9 +15,9 @@ layer for the simulation:
   structured :class:`ComponentHealth` reports shared by the serving,
   scheduling and storage planes,
 * :mod:`repro.resilience.drill` — the end-to-end SDC drill behind
-  ``repro drill sdc`` (:func:`run_sdc_drill`),
+  ``repro drill sdc``,
 * :mod:`repro.resilience.chaosdrill` — the partition / gray-failure drill
-  behind ``repro drill chaos`` (:func:`run_chaos_drill`),
+  behind ``repro drill chaos``,
 * :mod:`repro.resilience.retry` — exponential backoff with deterministic
   jitter (:class:`RetryPolicy`),
 * :mod:`repro.resilience.policy` — checkpoint cadence/placement
@@ -29,7 +29,7 @@ With an empty plan the layer is zero-cost: no events are scheduled and
 every existing workload produces byte-identical results.
 """
 
-from repro.resilience.chaosdrill import ChaosDrillReport, run_chaos_drill
+from repro.resilience.chaosdrill import ChaosDrillReport
 from repro.resilience.detect import (
     ComponentHealth,
     DetectorConfig,
@@ -65,7 +65,6 @@ from repro.resilience.retry import NO_RETRY, RetryBudget, RetryPolicy
 
 __all__ = [
     "ChaosDrillReport",
-    "run_chaos_drill",
     "ComponentHealth",
     "DetectorConfig",
     "PhiAccrualDetector",

@@ -25,16 +25,16 @@ reconciles the books:
   (``ok`` but ``degraded``) through :meth:`ParallelFileSystem.health`
   and come back clean after recovery.
 
-Everything is a pure function of ``(seed, quick, defend)``: two
+Everything is a pure function of ``(seed, quick, control)``: two
 same-argument drills render byte-identical reports (asserted by the test
-suite and diffed in CI).
+suite and diffed in CI).  The drill runs through
+:func:`repro.telemetry.scenarios.run_scenario`, which captures, exports
+and judges it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-from repro import telemetry
 
 #: Drill geometry (quick mode halves the horizon).
 RATE_PER_S = 120.0
@@ -92,9 +92,8 @@ class ChaosDrillReport:
         return (self.partition_windows > 0 and self.gray_episodes > 0
                 and self.crashes > 0)
 
-    @property
-    def ok(self) -> bool:
-        """The drill's verdict.
+    def failures(self) -> list[str]:
+        """Why the drill failed; empty when it passed.
 
         Either mode: no admitted request may be lost, the faults must
         have demonstrably fired, and the storage sidecar must have
@@ -108,18 +107,36 @@ class ChaosDrillReport:
         scenario makes the ratio a stable regression signal; here it is
         reported for the record.
         """
-        base = (self.lost_requests == 0
-                and self.chaos_delivered
-                and self.storage_degraded_ok
-                and self.storage_recovered)
-        if not base:
-            return False
+        checks = [
+            (self.lost_requests == 0,
+             f"{self.lost_requests} admitted request(s) lost"),
+            (self.chaos_delivered,
+             f"armed faults did not all fire (partitions "
+             f"{self.partition_windows}, gray {self.gray_episodes}, "
+             f"crashes {self.crashes})"),
+            (self.storage_degraded_ok,
+             "storage sidecar did not report the OST loss as gray"),
+            (self.storage_recovered, "storage sidecar did not recover clean"),
+        ]
         if self.defend:
-            return self.breaker_transitions > 0 and self.hedges_issued > 0
-        return (self.suspicion_events == 0
-                and self.breaker_transitions == 0
-                and self.hedges_issued == 0
-                and not self.brownout_path)
+            checks += [
+                (self.breaker_transitions > 0,
+                 "defenses on: no circuit breaker tripped"),
+                (self.hedges_issued > 0, "defenses on: no hedge was issued"),
+            ]
+        else:
+            checks.append((
+                not (self.suspicion_events or self.breaker_transitions
+                     or self.hedges_issued or self.brownout_path),
+                f"control arm: defense activity (suspicion "
+                f"{self.suspicion_events}, breakers "
+                f"{self.breaker_transitions}, hedges {self.hedges_issued}, "
+                f"brownout {list(self.brownout_path)})"))
+        return [reason for passed, reason in checks if not passed]
+
+    @property
+    def ok(self) -> bool:
+        return not self.failures()
 
     def to_text(self) -> str:
         """Deterministic human-readable report (the CI artifact)."""
@@ -187,9 +204,13 @@ def chaos_drill_plan(seed: int, duration_s: float):
     ))
 
 
-def run_chaos_drill(seed: int = 0, quick: bool = False, defend: bool = True
-                    ) -> tuple[ChaosDrillReport, str]:
-    """Run the drill; returns ``(report, prometheus metrics text)``."""
+def chaos_drill(seed: int = 0, quick: bool = False, control: bool = False
+                ) -> ChaosDrillReport:
+    """The drill body; ``control`` disarms the defenses.
+
+    Runs inside the caller's capture.
+    """
+    from repro import telemetry
     from repro.core.presets import small_msa_system
     from repro.resilience.faults import FaultInjector
     from repro.serving import (
@@ -201,6 +222,7 @@ def run_chaos_drill(seed: int = 0, quick: bool = False, defend: bool = True
     )
     from repro.storage.pfs import ParallelFileSystem
 
+    defend = not control
     duration = DURATION_S / 2 if quick else DURATION_S
     plan = chaos_drill_plan(seed, duration)
     config = ServingConfig(
@@ -214,23 +236,21 @@ def run_chaos_drill(seed: int = 0, quick: bool = False, defend: bool = True
         defense=DefenseConfig(enabled=defend),
     )
 
-    with telemetry.capture() as (tracer, registry):
-        pfs = ParallelFileSystem("sssm", n_targets=4)
-        pfs.fail_target(seed % pfs.n_targets)
-        degraded = pfs.health()
-        report = simulate_serving(
-            config,
-            system=small_msa_system(),
-            fault_injector=FaultInjector(plan),
-            registry=registry,
-        )
-        pfs.recover_target(seed % pfs.n_targets)
-        restored = pfs.health()
-        recovered = restored.ok and not restored.degraded
-        prometheus = registry.to_prometheus()
+    pfs = ParallelFileSystem("sssm", n_targets=4)
+    pfs.fail_target(seed % pfs.n_targets)
+    degraded = pfs.health()
+    report = simulate_serving(
+        config,
+        system=small_msa_system(),
+        fault_injector=FaultInjector(plan),
+        registry=telemetry.get_registry(),
+    )
+    pfs.recover_target(seed % pfs.n_targets)
+    restored = pfs.health()
+    recovered = restored.ok and not restored.degraded
 
     m = report.metrics
-    drill = ChaosDrillReport(
+    return ChaosDrillReport(
         seed=seed,
         defend=defend,
         quick=quick,
@@ -258,4 +278,3 @@ def run_chaos_drill(seed: int = 0, quick: bool = False, defend: bool = True
         storage_degraded_ok=degraded.ok and degraded.degraded,
         storage_recovered=recovered,
     )
-    return drill, prometheus

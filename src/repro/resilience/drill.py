@@ -22,19 +22,19 @@ drill leaves behind exactly the state a production control plane would:
 corrupted hardware fenced off, training converged, lineage scrubbed.
 
 Everything is a pure function of the seed: two same-seed drills render
-byte-identical reports (asserted by the test suite).
+byte-identical reports (asserted by the test suite).  The drill runs
+through :func:`repro.telemetry.scenarios.run_scenario`, which captures,
+exports and judges it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
 from repro import telemetry
-from repro.resilience.integrity import IntegrityConfig, corruption_totals, \
-    publish_undetected
+from repro.resilience.integrity import IntegrityConfig, corruption_totals
 
 #: Drill geometry (quick mode halves the step count).
 WORLD_SIZE = 4
@@ -72,21 +72,35 @@ class SdcDrillReport:
     def detected_total(self) -> int:
         return sum(n for _, n in self.detected_by_kind)
 
-    @property
-    def ok(self) -> bool:
-        """The drill's verdict.
+    def failures(self) -> list[str]:
+        """Why the drill failed; empty when it passed.
 
         Verification on: nothing slipped through, rollback bounded, and
         the trajectory is indistinguishable from the fault-free run.
         Verification off: the corruption must have *visibly* landed.
         """
+        checks = [(self.injected_total > 0, "no corruption was injected")]
         if self.verify:
-            return (self.undetected == 0
-                    and self.injected_total > 0
-                    and self.max_rollback_versions <= KEEP_LAST
-                    and self.trajectory_matches_reference)
-        return self.injected_total > 0 \
-            and not self.trajectory_matches_reference
+            checks += [
+                (self.undetected == 0,
+                 f"{self.undetected:g} injected corruption(s) went "
+                 "undetected"),
+                (self.max_rollback_versions <= KEEP_LAST,
+                 f"rollback depth {self.max_rollback_versions} exceeds the "
+                 f"retention window ({KEEP_LAST})"),
+                (self.trajectory_matches_reference,
+                 "loss trajectory diverged from the fault-free reference "
+                 f"(max deviation {self.max_loss_deviation:.3e})"),
+            ]
+        else:
+            checks.append((not self.trajectory_matches_reference,
+                           "control arm: the corrupted trajectory still "
+                           "matches the fault-free reference"))
+        return [reason for passed, reason in checks if not passed]
+
+    @property
+    def ok(self) -> bool:
+        return not self.failures()
 
     def to_text(self) -> str:
         """Deterministic human-readable report (the CI artifact)."""
@@ -183,19 +197,23 @@ def drill_fault_plan(seed: int, n_steps: int):
     )
 
 
-def run_sdc_drill(seed: int = 0, quick: bool = False, verify: bool = True
-                  ) -> tuple[SdcDrillReport, str]:
-    """Run the drill; returns ``(report, prometheus metrics text)``.
+def sdc_drill(seed: int = 0, quick: bool = False, control: bool = False
+              ) -> SdcDrillReport:
+    """The drill body; ``control`` turns verification off.
 
-    The fault-free reference run executes first (outside the capture, so
-    its traffic does not pollute the corruption ledger), then the faulted
-    run under :func:`repro.telemetry.capture`.
+    Runs inside the caller's capture.  The fault-free reference run
+    executes first under a nested *disabled* capture, so its traffic does
+    not pollute the corruption ledger.
     """
     from repro.core.presets import small_msa_system
     from repro.core.scheduler import MsaScheduler
 
+    verify = not control
     n_steps = 12 if quick else 24
-    reference = _run_training(seed, n_steps, fault_plan=None, verify=False)
+    with telemetry.capture(telemetry.Tracer(enabled=False),
+                           telemetry.MetricsRegistry(enabled=False)):
+        reference = _run_training(seed, n_steps, fault_plan=None,
+                                  verify=False)
 
     plan = drill_fault_plan(seed, n_steps)
     scheduler = MsaScheduler(small_msa_system())
@@ -207,11 +225,10 @@ def run_sdc_drill(seed: int = 0, quick: bool = False, verify: bool = True
         for r in world_ranks:
             scheduler.quarantine("esb", r)
 
-    with telemetry.capture() as (tracer, registry):
-        result = _run_training(seed, n_steps, fault_plan=plan, verify=verify,
-                               on_quarantine=on_quarantine)
-        undetected = publish_undetected(registry)
-        prometheus = registry.to_prometheus()
+    result = _run_training(seed, n_steps, fault_plan=plan, verify=verify,
+                           on_quarantine=on_quarantine)
+    registry = telemetry.get_registry()
+    injected, detected = corruption_totals(registry)
 
     def _by_kind(name: str) -> tuple[tuple[str, int], ...]:
         return tuple(sorted(
@@ -226,14 +243,14 @@ def run_sdc_drill(seed: int = 0, quick: bool = False, verify: bool = True
     max_dev = float(np.max(deviations)) if deviations else 0.0
     matches = bool(np.isfinite(max_dev) and max_dev <= 1e-9)
 
-    report = SdcDrillReport(
+    return SdcDrillReport(
         seed=seed,
         verify=verify,
         n_steps=n_steps,
         world_size=WORLD_SIZE,
         injected_by_kind=_by_kind("integrity_corruptions_injected"),
         detected_by_kind=_by_kind("integrity_corruptions_detected"),
-        undetected=undetected,
+        undetected=injected - detected,
         recoveries=tuple(result.recoveries),
         max_rollback_versions=max(
             (r.rollback_versions for r in result.recoveries), default=0),
@@ -243,4 +260,3 @@ def run_sdc_drill(seed: int = 0, quick: bool = False, verify: bool = True
         max_loss_deviation=float(max_dev),
         final_world_size=result.final_world_size,
     )
-    return report, prometheus

@@ -1,84 +1,62 @@
-"""Canonical traced scenarios behind ``repro trace``.
+"""The one scenario runner behind ``repro trace`` and ``repro drill``.
 
-Two end-to-end runs, each executed under :func:`repro.telemetry.capture`
-so every instrumented layer records into one tracer/registry pair:
+:func:`run_scenario` runs one entry of :data:`SCENARIOS` under a single
+:func:`repro.telemetry.capture`, so every instrumented layer records into
+one tracer/registry pair, then reconciles the corruption ledger, exports
+the artifacts and judges the run:
 
-* :func:`trace_training_scenario` — a faulted batch workload through the
-  MSA scheduler (node crashes, requeues) *plus* a faulted elastic
-  training run (rank kills, ULFM shrink, NAM/PFS checkpoint-restart).
-  The resulting trace carries five subsystem tracks — ``scheduler``,
-  ``mpi``, ``train``, ``storage`` and ``faults`` — on one simulated
-  timebase.
-* :func:`trace_serving_scenario` — an online-serving run with admission
-  control, micro-batching, a replica crash mid-run and the autoscaler
-  active; tracks ``serving`` and ``faults``.
+* ``train`` — a faulted batch workload through the MSA scheduler (node
+  crashes, requeues) *plus* a faulted elastic training run (rank kills,
+  ULFM shrink, NAM/PFS checkpoint-restart): tracks ``scheduler``,
+  ``mpi``, ``train``, ``storage`` and ``faults`` on one simulated
+  timebase;
+* ``serve`` — online serving with admission control, micro-batching, a
+  replica crash mid-run and the autoscaler active: tracks ``serving`` and
+  ``faults``;
+* ``sdc`` — the silent-data-corruption drill
+  (:func:`repro.resilience.drill.sdc_drill`);
+* ``chaos`` — the partition / gray-failure drill
+  (:func:`repro.resilience.chaosdrill.chaos_drill`).
 
-Everything is seed-driven: the same ``seed`` produces byte-identical
-``trace.json`` / ``metrics.prom`` / ``summary.txt`` artifacts, which the
-trace-determinism tests assert literally.
+Every run writes ``trace.json``, ``metrics.prom`` and ``summary.txt``; a
+drill also writes its ``report.txt``.  Everything is seed-driven: the same
+``(name, seed, quick, control)`` produces byte-identical files.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Any
 
 import numpy as np
 
 from repro import telemetry
+from repro.resilience.chaosdrill import chaos_drill
+from repro.resilience.drill import sdc_drill
+from repro.resilience.integrity import publish_undetected
 from repro.telemetry.export import chrome_trace_json, run_summary
 
 
 @dataclass(frozen=True)
-class TraceArtifacts:
-    """The three exportable documents of one traced scenario run."""
+class ScenarioRun:
+    """The files and the verdict of one scenario run."""
 
-    scenario: str
-    seed: int
-    trace_json: str          #: Chrome trace-event JSON (chrome://tracing)
-    prometheus: str          #: Prometheus text exposition of the registry
-    summary: str             #: human-readable rollup
-    tracks: tuple[str, ...]  #: subsystem tracks present in the trace
-    n_spans: int
-    #: Gauges above zero whose name mentions "invariant" — must be empty.
-    invariant_violations: tuple[tuple[str, tuple, float], ...]
+    #: filename -> body, exactly as written to disk.
+    files: dict[str, str]
+    #: Readable reasons the run failed; empty means it passed.
+    failures: tuple[str, ...]
     #: The raw spans (deterministic order) — for nesting validation.
     spans: tuple[telemetry.Span, ...] = ()
+    #: The drill's typed report; ``None`` for a trace scenario.
+    report: Any = None
 
     @property
     def ok(self) -> bool:
-        return not self.invariant_violations
+        return not self.failures
 
 
-def _artifacts(scenario: str, seed: int, tracer: telemetry.Tracer,
-               registry: telemetry.MetricsRegistry) -> TraceArtifacts:
-    from repro.resilience.integrity import publish_undetected
-
-    spans = tracer.spans
-    # Reconcile the corruption ledger before exporting, so every trace's
-    # metrics.prom/summary.txt carries the integrity counters and the
-    # undetected gauge — and an unreconciled run fails like any other
-    # invariant violation.
-    undetected = publish_undetected(registry)
-    violations = tuple(registry.gauges_over(0.0, name_contains="invariant"))
-    if undetected > 0:
-        violations += (("integrity_undetected", (), undetected),)
-    return TraceArtifacts(
-        scenario=scenario,
-        seed=seed,
-        trace_json=chrome_trace_json(spans),
-        prometheus=registry.to_prometheus(),
-        summary=run_summary(spans, registry,
-                            title=f"repro trace {scenario} (seed {seed})"),
-        tracks=tuple(tracer.tracks()),
-        n_spans=len(spans),
-        invariant_violations=violations,
-        spans=tuple(spans),
-    )
-
-
-def trace_training_scenario(seed: int = 0, quick: bool = False
-                            ) -> TraceArtifacts:
-    """Faulted scheduler workload + faulted elastic training, one capture."""
+def _train(seed: int, quick: bool, control: bool) -> None:
+    """Faulted scheduler workload + faulted elastic training."""
     from repro.core.presets import small_msa_system
     from repro.core.jobs import synthetic_workload_mix
     from repro.core.scheduler import schedule_workload
@@ -100,49 +78,45 @@ def trace_training_scenario(seed: int = 0, quick: bool = False
                         rng.normal(2.0, 1.0, size=(64, 2))])
     Y = np.array([0] * 64 + [1] * 64)
 
-    with telemetry.capture() as (tracer, registry):
-        # 1) The batch side: a workload mix with node crashes mid-run.
-        system = small_msa_system()
-        targets = {key: module.n_nodes
-                   for key, module in system.compute_modules().items()}
-        plan = FaultPlan.random(seed, targets=targets, horizon_s=40_000.0,
-                                n_crashes=2, repair_s=1_200.0)
-        schedule_workload(
-            system,
-            synthetic_workload_mix(n_jobs=n_jobs, seed=seed,
-                                   mean_interarrival_s=600.0),
-            fault_injector=FaultInjector(plan),
-        )
+    # 1) The batch side: a workload mix with node crashes mid-run.
+    system = small_msa_system()
+    targets = {key: module.n_nodes
+               for key, module in system.compute_modules().items()}
+    plan = FaultPlan.random(seed, targets=targets, horizon_s=40_000.0,
+                            n_crashes=2, repair_s=1_200.0)
+    schedule_workload(
+        system,
+        synthetic_workload_mix(n_jobs=n_jobs, seed=seed,
+                               mean_interarrival_s=600.0),
+        fault_injector=FaultInjector(plan),
+    )
 
-        # 2) The training side: rank kills + silent corruption (a gradient
-        # bitflip and checkpoint rot) + NAM-first checkpoint-restart, so
-        # the trace's metrics expose the integrity counters.
-        manager = CheckpointManager(
-            nam=NetworkAttachedMemory(capacity_GB=1),
-            pfs=ParallelFileSystem("pfs", n_targets=4))
-        train_plan = FaultPlan.rank_kills(seed, {kill_step: [1]}).merged(
-            FaultPlan.silent_corruption(
-                seed,
-                gradient={max(1, n_steps // 4): [2]},
-                checkpoint_rot=[(n_steps - 2, "nam")]))
-        run_elastic_training(
-            model_factory=lambda: MLP([2, 8, 2], seed=3),
-            X=X, Y=Y,
-            n_steps=n_steps,
-            batch_size=16,
-            world_size=world_size,
-            seed=seed,
-            fault_plan=train_plan,
-            checkpoint_manager=manager,
-            checkpoint_policy=CheckpointPolicy(every_steps=4,
-                                               replicate=True),
-            name="trace-train",
-        )
-    return _artifacts("train", seed, tracer, registry)
+    # 2) The training side: rank kills + silent corruption (a gradient
+    # bitflip and checkpoint rot) + NAM-first checkpoint-restart, so the
+    # trace's metrics expose the integrity counters.
+    manager = CheckpointManager(
+        nam=NetworkAttachedMemory(capacity_GB=1),
+        pfs=ParallelFileSystem("pfs", n_targets=4))
+    train_plan = FaultPlan.rank_kills(seed, {kill_step: [1]}).merged(
+        FaultPlan.silent_corruption(
+            seed,
+            gradient={max(1, n_steps // 4): [2]},
+            checkpoint_rot=[(n_steps - 2, "nam")]))
+    run_elastic_training(
+        model_factory=lambda: MLP([2, 8, 2], seed=3),
+        X=X, Y=Y,
+        n_steps=n_steps,
+        batch_size=16,
+        world_size=world_size,
+        seed=seed,
+        fault_plan=train_plan,
+        checkpoint_manager=manager,
+        checkpoint_policy=CheckpointPolicy(every_steps=4, replicate=True),
+        name="trace-train",
+    )
 
 
-def trace_serving_scenario(seed: int = 0, quick: bool = False
-                           ) -> TraceArtifacts:
+def _serve(seed: int, quick: bool, control: bool) -> None:
     """Online serving under load with a replica crash and autoscaling."""
     from repro.core.presets import small_msa_system
     from repro.resilience.faults import (
@@ -172,15 +146,54 @@ def trace_serving_scenario(seed: int = 0, quick: bool = False
     plan = FaultPlan(seed=seed, specs=(
         FaultSpec(kind=FaultKind.NODE_CRASH, time=duration / 5.0,
                   module="esb", node=0, duration=5.0),))
-    with telemetry.capture() as (tracer, registry):
-        report = simulate_serving(config, system=small_msa_system(),
-                                  fault_injector=FaultInjector(plan),
-                                  registry=registry)
-        report.metrics.check_conservation()
-    return _artifacts("serve", seed, tracer, registry)
+    report = simulate_serving(config, system=small_msa_system(),
+                              fault_injector=FaultInjector(plan),
+                              registry=telemetry.get_registry())
+    report.metrics.check_conservation()
 
 
+#: name -> body.  A body runs inside the runner's capture and returns the
+#: drill's typed report, or ``None`` for a trace scenario.
 SCENARIOS = {
-    "train": trace_training_scenario,
-    "serve": trace_serving_scenario,
+    "train": _train,
+    "serve": _serve,
+    "sdc": sdc_drill,
+    "chaos": chaos_drill,
 }
+
+
+def run_scenario(name: str, seed: int = 0, quick: bool = False,
+                 control: bool = False) -> ScenarioRun:
+    """Run one scenario under one capture and judge it.
+
+    ``control`` runs a drill's control arm (``--no-verify`` /
+    ``--no-defend``), where undetected corruption is expected, not a
+    failure.  The run fails on any gauge whose name contains "invariant"
+    reading above zero, on undetected corruption outside a control arm,
+    and on any of the drill report's own :meth:`failures`.
+    """
+    if control and name not in ("sdc", "chaos"):
+        raise ValueError(f"scenario {name!r} has no control arm")
+    with telemetry.capture() as (tracer, registry):
+        report = SCENARIOS[name](seed=seed, quick=quick, control=control)
+    # Reconcile the corruption ledger before exporting, so every run's
+    # metrics.prom/summary.txt carries the undetected gauge.
+    undetected = publish_undetected(registry)
+    spans = tracer.spans
+    verb = "trace" if report is None else "drill"
+    files = {
+        "trace.json": chrome_trace_json(spans) + "\n",
+        "metrics.prom": registry.to_prometheus(),
+        "summary.txt": run_summary(
+            spans, registry, title=f"repro {verb} {name} (seed {seed})"),
+    }
+    failures = [f"invariant gauge {gauge}{dict(labels)} = {value:g}"
+                for gauge, labels, value
+                in registry.gauges_over(0.0, name_contains="invariant")]
+    if undetected > 0 and not control:
+        failures.append(f"integrity_undetected = {undetected:g}")
+    if report is not None:
+        files["report.txt"] = report.to_text()
+        failures += report.failures()
+    return ScenarioRun(files=files, failures=tuple(failures),
+                       spans=tuple(spans), report=report)

@@ -1,15 +1,12 @@
-"""Batch job scripts, schedule Gantt export, bottleneck ResNet and the
+"""Batch job scripts, schedule Gantt traces, bottleneck ResNet and the
 multi-label BigEarthNet task (the corpus's real annotation mode)."""
 
 import numpy as np
 import pytest
 
+from repro import telemetry
 from repro.core import deep_system, schedule_workload
-from repro.core.batch import (
-    BatchScriptError,
-    parse_job_script,
-    schedule_to_chrome_trace,
-)
+from repro.core.batch import BatchScriptError, parse_job_script
 from repro.core.jobs import WorkloadClass
 from repro.datasets import BigEarthNetConfig, SyntheticBigEarthNet
 from repro.ml import Adam, Tensor, binary_cross_entropy_with_logits
@@ -77,24 +74,35 @@ class TestBatchScripts:
 
 
 class TestGanttExport:
+    """The scheduler's phase spans are the Gantt view of a schedule."""
+
+    @staticmethod
+    def _captured_schedule():
+        with telemetry.capture() as (tracer, _):
+            report = schedule_workload(deep_system(),
+                                       [parse_job_script(SCRIPT)])
+        phases = [s for s in tracer.by_track("scheduler")
+                  if not s.is_instant]
+        return report, phases, tracer
+
     def test_chrome_trace_structure(self):
-        job = parse_job_script(SCRIPT)
-        report = schedule_workload(deep_system(), [job])
-        trace = schedule_to_chrome_trace(report)
-        spans = [e for e in trace["traceEvents"] if e["ph"] == "X"]
-        lanes = [e for e in trace["traceEvents"] if e["ph"] == "M"]
-        assert len(spans) == len(report.allocations)
-        assert {l["args"]["name"] for l in lanes} == \
+        report, phases, _ = self._captured_schedule()
+        assert len(phases) == len(report.allocations)
+        assert {s.attr_dict()["module"] for s in phases} == \
             {a.module_key for a in report.allocations}
-        for span in spans:
-            assert span["dur"] > 0
+        assert sorted(s.attr_dict()["n_nodes"] for s in phases) == \
+            sorted(len(a.nodes) for a in report.allocations)
+        for span in phases:
+            assert span.duration_s > 0
 
     def test_trace_json_serialisable(self):
         import json
 
-        job = parse_job_script(SCRIPT)
-        report = schedule_workload(deep_system(), [job])
-        json.dumps(schedule_to_chrome_trace(report))
+        report, _, tracer = self._captured_schedule()
+        trace = json.loads(telemetry.chrome_trace_json(tracer.spans))
+        spans = [e for e in trace["traceEvents"] if e["ph"] == "X"]
+        assert len(spans) == len(report.allocations)
+        assert all(e["dur"] > 0 for e in spans)
 
 
 class TestBottleneckResNet:

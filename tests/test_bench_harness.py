@@ -112,6 +112,21 @@ class TestCompare:
         case["metrics"]["sim_time_s"] /= (1.0 + tol * 0.5)
         assert compare_docs(current, baseline).ok
 
+    def test_current_cannot_widen_its_own_budget(self, quick_run):
+        # The change under test regresses a metric 2x *and* widens its
+        # tolerance to hide it: the baseline's budget still governs.
+        baseline = _docs(quick_run)
+        current = copy.deepcopy(baseline)
+        case = current["mpi"]["cases"]["p2p_message_rate"]
+        assert case["budgets"]["sim_time_s"]["direction"] == "lower"
+        case["metrics"]["sim_time_s"] *= 2.0
+        case["budgets"]["sim_time_s"]["tolerance"] = 10.0
+        report = compare_docs(current, baseline)
+        assert not report.ok
+        assert [d.metric for d in report.regressions] == ["sim_time_s"]
+        assert any("p2p_message_rate/sim_time_s: budget" in n
+                   and "--update-baseline" in n for n in report.notes)
+
     def test_missing_area_is_a_regression(self, quick_run):
         current = _docs(quick_run)
         baseline = dict(current)

@@ -1,12 +1,12 @@
-"""The Dask-like delayed engine and the Horovod-style timeline."""
+"""The Dask-like delayed engine and the per-rank telemetry timeline."""
 
 import time
 
 import numpy as np
 import pytest
 
+from repro import telemetry
 from repro.analytics import Delayed, compute, delayed
-from repro.distributed import Timeline, merge_timelines
 from repro.mpi import run_spmd
 from repro.mpi.runtime import spmd_sim_times
 
@@ -124,80 +124,84 @@ def _spy_list(calls):
 # timeline
 # ---------------------------------------------------------------------------
 
+def _rank_spans(tracer, rank: int = 0, tracks=("mpi",)):
+    """One rank's lane on the given tracks, in time order."""
+    return [s for s in tracer.spans
+            if s.track in tracks and s.lane == f"rank{rank:03d}"]
+
+
+def _total(spans, category: str) -> float:
+    return sum(s.duration_s for s in spans if s.category == category)
+
+
+def _comm_fraction(spans) -> float:
+    comm = _total(spans, "comm")
+    busy = comm + _total(spans, "compute")
+    return comm / busy if busy > 0 else 0.0
+
+
 class TestTimeline:
+    """Comm and compute spans per rank lane on the telemetry ``mpi`` track —
+    the Horovod-timeline view of a distributed run."""
+
     def test_records_comm_and_compute(self):
         def fn(comm):
-            tl = Timeline(comm)
-            tl.mark_compute("forward", 0.010)
-            tl.record("allreduce", "comm", comm.allreduce,
-                      np.ones(10_000), nbytes=80_000)
-            tl.mark_compute("optimizer", 0.002)
-            return (len(tl.events), tl.total("compute"),
-                    tl.total("comm") > 0, tl.comm_fraction())
+            comm.compute(0.010)
+            comm.allreduce(np.ones(10_000))
+            comm.compute(0.002)
 
-        out = run_spmd(fn, 4)
-        for n_events, compute_total, has_comm, frac in out:
-            assert n_events == 3
-            assert compute_total == pytest.approx(0.012)
-            assert has_comm
-            assert 0.0 < frac < 1.0
+        with telemetry.capture() as (tracer, _):
+            run_spmd(fn, 4)
+        for rank in range(4):
+            spans = _rank_spans(tracer, rank)
+            assert [s.category for s in spans] == \
+                ["compute", "comm", "compute"]
+            assert spans[1].name == "allreduce"
+            assert _total(spans, "compute") == pytest.approx(0.012)
+            assert _total(spans, "comm") > 0
+            assert 0.0 < _comm_fraction(spans) < 1.0
 
     def test_events_carry_simulated_times(self):
         def fn(comm):
-            tl = Timeline(comm)
-            tl.mark_compute("a", 0.5)
-            tl.mark_compute("b", 0.25)
-            return [(e.name, e.start_s, e.duration_s) for e in tl.events]
+            comm.compute(0.5)
+            comm.compute(0.25)
 
-        events = run_spmd(fn, 1)[0]
-        assert events[0] == ("a", 0.0, 0.5)
-        assert events[1] == ("b", 0.5, 0.25)
+        with telemetry.capture() as (tracer, _):
+            run_spmd(fn, 1)
+        assert [(s.start_s, s.duration_s) for s in _rank_spans(tracer)] == \
+            [(0.0, 0.5), (0.5, 0.25)]
 
     def test_chrome_trace_structure(self):
-        def fn(comm):
-            tl = Timeline(comm)
-            tl.mark_compute("step", 0.001)
-            return tl.to_chrome_trace()
-
-        trace = run_spmd(fn, 2)[1]
-        event = trace["traceEvents"][0]
-        assert event["ph"] == "X"
-        assert event["tid"] == 1
-        assert event["dur"] == pytest.approx(1000.0)   # µs
+        with telemetry.capture() as (tracer, _):
+            run_spmd(lambda comm: comm.compute(0.001), 2)
+        events = telemetry.to_chrome_trace(tracer.spans)["traceEvents"]
+        lanes = {e["tid"]: e["args"]["name"] for e in events
+                 if e["name"] == "thread_name"}
+        spans = [e for e in events if e["ph"] == "X"]
+        assert sorted(lanes[e["tid"]] for e in spans) == \
+            ["rank000", "rank001"]
+        assert all(e["dur"] == pytest.approx(1000.0) for e in spans)  # µs
 
     def test_json_serialisable(self):
         import json
 
-        def fn(comm):
-            tl = Timeline(comm)
-            tl.mark_compute("x", 0.001)
-            return tl.to_json()
-
-        payload = run_spmd(fn, 1)[0]
+        with telemetry.capture() as (tracer, _):
+            run_spmd(lambda comm: comm.compute(0.001), 1)
+        payload = telemetry.chrome_trace_json(tracer.spans)
         assert json.loads(payload)["displayTimeUnit"] == "ms"
 
     def test_merge_orders_by_time(self):
         def fn(comm):
-            tl = Timeline(comm)
-            tl.mark_compute("w", 0.001 * (comm.rank + 1))
-            tl.record("sync", "comm", comm.barrier)
-            return tl
+            comm.compute(0.001 * (comm.rank + 1))
+            comm.barrier()
 
-        timelines = run_spmd(fn, 3)
-        merged = merge_timelines(timelines)
-        stamps = [e["ts"] for e in merged["traceEvents"]]
+        with telemetry.capture() as (tracer, _):
+            run_spmd(fn, 3)
+        events = [e for e in telemetry.to_chrome_trace(tracer.spans)
+                  ["traceEvents"] if e["ph"] == "X"]
+        stamps = [e["ts"] for e in events]
         assert stamps == sorted(stamps)
-        assert len(merged["traceEvents"]) == 6
-
-    def test_by_name(self):
-        def fn(comm):
-            tl = Timeline(comm)
-            tl.mark_compute("fwd", 0.001)
-            tl.mark_compute("fwd", 0.001)
-            tl.mark_compute("bwd", 0.002)
-            return len(tl.by_name("fwd"))
-
-        assert run_spmd(fn, 1) == [2]
+        assert len(events) == 6
 
     def test_training_loop_timeline_shows_comm_growth(self):
         """The instrument the paper's [20]-style tuning relies on: comm
@@ -214,15 +218,21 @@ class TestTimeline:
             model = MLP([2, 16, 2], seed=0)
             broadcast_parameters(model, comm)
             opt = DistributedOptimizer(SGD(model.parameters(), lr=0.1), comm)
-            tl = Timeline(comm)
             for _ in range(3):
-                tl.mark_compute("fwd+bwd", 0.005)
+                comm.compute(0.005)
                 loss = cross_entropy(model(Tensor(X)), y)
                 opt.zero_grad()
                 loss.backward()
-                tl.record("allreduce", "comm", opt.step)
-            return tl.comm_fraction()
+                opt.step()
 
-        frac2 = run_spmd(fn, 2)[0]
-        frac8 = run_spmd(fn, 8)[0]
-        assert frac8 > frac2
+        def comm_fraction(world_size: int) -> float:
+            with telemetry.capture() as (tracer, _):
+                run_spmd(fn, world_size)
+            # The fused gradient allreduce is one "grad-allreduce" comm
+            # span on the rank's ``train`` lane (its ring steps are raw
+            # point-to-point, so nothing on ``mpi`` nests inside it).
+            spans = _rank_spans(tracer, tracks=("mpi", "train"))
+            assert any(s.name == "grad-allreduce" for s in spans)
+            return _comm_fraction(spans)
+
+        assert comm_fraction(8) > comm_fraction(2)

@@ -1,5 +1,7 @@
 """The SDC drill end to end: acceptance criteria, determinism, CLI."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -8,13 +10,15 @@ from repro.resilience.drill import (
     KEEP_LAST,
     SdcDrillReport,
     drill_fault_plan,
-    run_sdc_drill,
+    sdc_drill,
 )
+from repro.telemetry import scenarios
+from repro.telemetry.scenarios import run_scenario
 
 
 @pytest.fixture(scope="module")
 def verified_drill():
-    return run_sdc_drill(seed=0, quick=True, verify=True)
+    return run_scenario("sdc", seed=0, quick=True)
 
 
 class TestVerifiedDrill:
@@ -22,7 +26,7 @@ class TestVerifiedDrill:
         """The headline contract: everything injected was detected, the
         rollback stayed within the retention window, and training ended
         exactly where the fault-free run did."""
-        report, _ = verified_drill
+        report = verified_drill.report
         assert report.ok, report.to_text()
         assert report.undetected == 0
         assert report.max_rollback_versions <= KEEP_LAST
@@ -30,7 +34,7 @@ class TestVerifiedDrill:
         assert np.isfinite(report.max_loss_deviation)
 
     def test_every_corruption_class_fired(self, verified_drill):
-        report, _ = verified_drill
+        report = verified_drill.report
         injected = dict(report.injected_by_kind)
         assert injected.get("bitflip-message", 0) >= 1
         assert injected.get("bitflip-gradient", 0) >= 1
@@ -38,7 +42,7 @@ class TestVerifiedDrill:
         assert report.detected_by_kind == report.injected_by_kind
 
     def test_offender_quarantined_and_ring_shrunk(self, verified_drill):
-        report, _ = verified_drill
+        report = verified_drill.report
         # The plan corrupts world rank 2's gradient; after detection the
         # rank is quarantined through the scheduler and leaves the ring.
         assert 2 in report.quarantined_nodes
@@ -47,29 +51,23 @@ class TestVerifiedDrill:
                    for r in report.recoveries)
 
     def test_scrub_closed_the_books(self, verified_drill):
-        report, _ = verified_drill
+        report = verified_drill.report
         assert report.scrub.get("checked", 0) > 0
 
     def test_report_text_verdict(self, verified_drill):
-        report, _ = verified_drill
+        report = verified_drill.report
         text = report.to_text()
         assert "verdict: PASS" in text
         assert "corruption ledger:" in text
 
     def test_metrics_exposition_carries_ledger(self, verified_drill):
-        _, prometheus = verified_drill
+        prometheus = verified_drill.files["metrics.prom"]
         assert "integrity_corruptions_injected" in prometheus
         assert "integrity_corruptions_detected" in prometheus
         assert "integrity_undetected 0" in prometheus
 
 
 class TestDeterminism:
-    def test_same_seed_byte_identical(self, verified_drill):
-        report, prometheus = verified_drill
-        report2, prometheus2 = run_sdc_drill(seed=0, quick=True, verify=True)
-        assert report2.to_text() == report.to_text()
-        assert prometheus2 == prometheus
-
     def test_fault_plan_is_pure_function_of_seed(self):
         assert drill_fault_plan(5, 12) == drill_fault_plan(5, 12)
         assert drill_fault_plan(5, 12) != drill_fault_plan(6, 12)
@@ -79,8 +77,9 @@ class TestUnverifiedDrill:
     def test_corruption_visibly_lands(self):
         """--no-verify is the control arm: same seed, same faults, but the
         trajectory must now diverge — proving detection does real work."""
-        report, _ = run_sdc_drill(seed=0, quick=True, verify=False)
-        assert report.ok, report.to_text()
+        run = run_scenario("sdc", seed=0, quick=True, control=True)
+        report = run.report
+        assert run.ok, run.failures
         assert not report.trajectory_matches_reference
         assert report.injected_total > 0
         assert report.undetected > 0
@@ -98,17 +97,36 @@ class TestReportVerdict:
         return SdcDrillReport(**defaults)
 
     def test_undetected_fails(self):
-        assert not self._base(undetected=1.0).ok
+        report = self._base(undetected=1.0)
+        assert not report.ok
+        assert "1 injected corruption(s) went undetected" in \
+            report.failures()
 
     def test_unbounded_rollback_fails(self):
-        assert not self._base(max_rollback_versions=KEEP_LAST + 1).ok
+        report = self._base(max_rollback_versions=KEEP_LAST + 1)
+        assert not report.ok
+        assert any(r.startswith(f"rollback depth {KEEP_LAST + 1} exceeds")
+                   for r in report.failures())
 
     def test_diverged_trajectory_fails(self):
-        assert not self._base(trajectory_matches_reference=False).ok
+        report = self._base(trajectory_matches_reference=False)
+        assert not report.ok
+        assert any(r.startswith("loss trajectory diverged")
+                   for r in report.failures())
 
     def test_nothing_injected_fails(self):
-        assert not self._base(injected_by_kind=(),
-                              detected_by_kind=()).ok
+        report = self._base(injected_by_kind=(), detected_by_kind=())
+        assert not report.ok
+        assert "no corruption was injected" in report.failures()
+
+    def test_passing_report_has_no_failures(self):
+        assert self._base().failures() == []
+        assert self._base().ok
+
+    def test_control_arm_trajectory_must_diverge(self):
+        report = self._base(verify=False)
+        assert not report.ok
+        assert any(r.startswith("control arm:") for r in report.failures())
 
 
 class TestCli:
@@ -129,7 +147,17 @@ class TestCli:
         a, b = tmp_path / "a", tmp_path / "b"
         assert main(["drill", "sdc", "--quick", "--out", str(a)]) == 0
         assert main(["drill", "sdc", "--quick", "--out", str(b)]) == 0
-        assert (a / "report.txt").read_bytes() == \
-            (b / "report.txt").read_bytes()
-        assert (a / "metrics.prom").read_bytes() == \
-            (b / "metrics.prom").read_bytes()
+        for name in ("report.txt", "metrics.prom", "summary.txt",
+                     "trace.json"):
+            assert (a / name).read_bytes() == (b / name).read_bytes()
+
+    def test_failing_run_prints_reasons_and_exits_one(self, tmp_path,
+                                                      monkeypatch, capsys):
+        def leaky(**kwargs):
+            return dataclasses.replace(sdc_drill(**kwargs), undetected=1.0)
+
+        monkeypatch.setitem(scenarios.SCENARIOS, "sdc", leaky)
+        rc = main(["drill", "sdc", "--quick", "--out", str(tmp_path)])
+        assert rc == 1
+        assert "FAIL: 1 injected corruption(s) went undetected" in \
+            capsys.readouterr().err
