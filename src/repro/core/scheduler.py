@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from repro import telemetry
 from repro.simnet.events import Event, Simulator
@@ -142,6 +142,24 @@ class ScheduleReport:
             self.resilience.publish_metrics(reg)
 
 
+class _Scores(NamedTuple):
+    """Placement scores of one phase on every candidate module.
+
+    Free nodes never enter a score, so these stay valid while the phase
+    waits; only what the scores depend on (see ``_JobState.memo_key``)
+    invalidates them.
+    """
+
+    #: ``(t, key, module, n)`` per candidate, in candidate order.
+    scored: list[tuple[float, str, ComputeModule, int]]
+    #: The same, best first: sorted by ``(t, key)``.
+    ranked: list[tuple[float, str, ComputeModule, int]]
+    best_anywhere: float
+    #: The module a queue head waits on: the first strict minimum in
+    #: candidate order (None when no score is finite).
+    blocked: Optional[str]
+
+
 @dataclass
 class _JobState:
     job: Job
@@ -152,6 +170,11 @@ class _JobState:
     attempts: int = 0
     #: Set while a failure awaits its restart (recovery/MTTR accounting).
     failed_at: Optional[float] = None
+    #: ``(next_phase, prev_module, degrade_epoch)`` the memo was scored for.
+    memo_key: Optional[tuple] = None
+    #: The current phase's scores: one ``_Scores``, or one per component
+    #: of a co-allocated phase.
+    memo: object = None
 
     @property
     def current(self) -> JobPhase:
@@ -207,6 +230,7 @@ class MsaScheduler:
         self._user_usage: dict[str, float] = {}
         self._submitted = 0
         self._io_GBps = self._storage_bandwidth()
+        self._compute = system.compute_modules()
         self._status: dict[str, JobStatus] = {}
         self._running: list[_RunningRecord] = []
         #: Recently crashed nodes per module — placement steers around them.
@@ -215,6 +239,8 @@ class MsaScheduler:
         self._health_monitors: list = []
         #: Active link-degradation factors per module key.
         self._degraded: dict[str, list[float]] = {}
+        #: Bumped whenever ``_degraded`` changes; part of every memo key.
+        self._degrade_epoch = 0
         self.injector = fault_injector
         if fault_injector is not None:
             self.retry_policy = retry_policy or RetryPolicy()
@@ -315,7 +341,7 @@ class MsaScheduler:
         return max(factors) if factors else 1.0
 
     def _on_node_crash(self, spec: FaultSpec) -> None:
-        module = self.system.compute_modules().get(spec.module)
+        module = self._compute.get(spec.module)
         if module is None or not (0 <= spec.node < module.n_nodes):
             return  # fault targets nothing this system has
         if spec.node in module.down_nodes:
@@ -471,6 +497,7 @@ class MsaScheduler:
 
     def _on_link_degrade(self, spec: FaultSpec) -> None:
         self._degraded.setdefault(spec.module, []).append(spec.magnitude)
+        self._degrade_epoch += 1
         recover = self.sim.timeout(spec.duration, value=spec,
                                    name=f"link-recover-{spec.module}")
         recover.add_callback(self._on_link_recover)
@@ -482,16 +509,12 @@ class MsaScheduler:
             factors.remove(spec.magnitude)
         if not factors:
             self._degraded.pop(spec.module, None)
+        self._degrade_epoch += 1
 
     # -- placement -----------------------------------------------------------------
     def _candidates(self, phase: JobPhase) -> list[tuple[str, ComputeModule, int]]:
-        out = []
-        for key, module in self.system.compute_modules().items():
-            if module.n_nodes == 0:
-                continue
-            n_alloc = min(phase.nodes, module.n_nodes)
-            out.append((key, module, n_alloc))
-        return out
+        return [(key, module, min(phase.nodes, module.n_nodes))
+                for key, module in self._compute.items() if module.n_nodes > 0]
 
     def _score(self, state: _JobState, key: str, module: ComputeModule, n: int) -> float:
         phase = state.current
@@ -506,50 +529,62 @@ class MsaScheduler:
             t += xfer
         return t
 
+    @staticmethod
+    def _rank(scored: list[tuple[float, str, ComputeModule, int]]) -> _Scores:
+        blocked, best_t = None, float("inf")
+        for t, key, _, _ in scored:
+            if t < best_t:
+                best_t, blocked = t, key
+        return _Scores(scored=scored,
+                       ranked=sorted(scored, key=lambda s: (s[0], s[1])),
+                       best_anywhere=best_t, blocked=blocked)
+
+    def _scores(self, state: _JobState):
+        """The current phase's memoised scores, rebuilt only when the phase,
+        the module it comes from or the link-degrade state has changed."""
+        key = (state.next_phase, state.prev_module, self._degrade_epoch)
+        if state.memo_key != key:
+            phase = state.current
+            if isinstance(phase, CoAllocatedPhase):
+                state.memo = [self._rank([
+                    (phase_runtime(c, module, n, io_GBps=self._io_GBps),
+                     k, module, n)
+                    for k, module, n in self._candidates(c)])
+                    for c in phase.components]
+            else:
+                state.memo = self._rank([
+                    (self._score(state, k, module, n), k, module, n)
+                    for k, module, n in self._candidates(phase)])
+            state.memo_key = key
+        return state.memo
+
     #: A queued phase refuses a feasible-now module whose estimated runtime
     #: exceeds this multiple of the best module's — it waits instead.
     PATIENCE_FACTOR = 3.0
 
     def _choose(self, state: _JobState) -> Optional[tuple[str, ComputeModule, int, float]]:
         """Best feasible placement now, or None to keep waiting."""
-        phase = state.current
-        candidates = self._candidates(phase)
-        feasible = [
-            (key, module, n)
-            for key, module, n in candidates
-            if module.free_nodes >= n
-        ]
-        if not feasible:
-            return None
+        scores: _Scores = self._scores(state)
         if self.placement is PlacementPolicy.FIRST_FIT:
-            key, module, n = sorted(feasible, key=lambda c: c[0])[0]
-            return key, module, n, self._score(state, key, module, n)
-        scored = [
-            (self._score(state, key, module, n), key, module, n)
-            for key, module, n in feasible
-        ]
-        scored.sort(key=lambda s: (s[0], s[1]))
-        t, key, module, n = scored[0]
-        # Matchmaking with patience: starting now on a badly-matching module
-        # (e.g. DL training on a CPU-only cluster) can be orders of magnitude
-        # worse than queueing for the matching one.
-        best_anywhere = min(
-            self._score(state, k, m, na) for k, m, na in candidates
-        )
-        if t > self.PATIENCE_FACTOR * best_anywhere:
-            return None
-        return key, module, n, t
+            feasible = [s for s in scores.ranked if s[2].free_nodes >= s[3]]
+            if not feasible:
+                return None
+            t, key, module, n = min(feasible, key=lambda s: s[1])
+            return key, module, n, t
+        for t, key, module, n in scores.ranked:
+            if module.free_nodes >= n:
+                # Matchmaking with patience: starting now on a badly-matching
+                # module (e.g. DL training on a CPU-only cluster) can be
+                # orders of magnitude worse than queueing for the matching one.
+                if t > self.PATIENCE_FACTOR * scores.best_anywhere:
+                    return None
+                return key, module, n, t
+        return None
 
     def _blocked_modules(self, state: _JobState) -> set[str]:
         """Modules the queue head is waiting on (backfill must not raid them)."""
-        phase = state.current
-        best_key = None
-        best_t = float("inf")
-        for key, module, n in self._candidates(phase):
-            t = self._score(state, key, module, n)
-            if t < best_t:
-                best_t, best_key = t, key
-        return {best_key} if best_key is not None else set()
+        blocked = self._scores(state).blocked
+        return {blocked} if blocked is not None else set()
 
     # -- co-allocation (multi-module phases) --------------------------------
     def _choose_coalloc(
@@ -559,13 +594,9 @@ class MsaScheduler:
         phase: CoAllocatedPhase = state.current
         taken: dict[str, int] = {}
         plan = []
-        for component in phase.components:
+        for component, scores in zip(phase.components, self._scores(state)):
             best = None
-            best_anywhere = float("inf")
-            for key, module, n in self._candidates(component):
-                t = phase_runtime(component, module, n,
-                                  io_GBps=self._io_GBps)
-                best_anywhere = min(best_anywhere, t)
+            for t, key, module, n in scores.scored:
                 if module.free_nodes - taken.get(key, 0) < n:
                     continue
                 if best is None or t < best[0]:
@@ -573,7 +604,7 @@ class MsaScheduler:
             # All-or-nothing, with the same patience rule as single-module
             # phases: a component refuses a badly-matching module and the
             # whole co-allocation waits.
-            if best is None or best[0] > self.PATIENCE_FACTOR * best_anywhere:
+            if best is None or best[0] > self.PATIENCE_FACTOR * scores.best_anywhere:
                 return None
             t, key, module, n = best
             taken[key] = taken.get(key, 0) + n
@@ -717,19 +748,31 @@ class MsaScheduler:
             i += 1
 
     # -- execution ------------------------------------------------------------------
+    def _describe(self, state: _JobState) -> str:
+        """``name (status, phase i 'name', n nodes)`` for a queued job."""
+        phase = state.current
+        if isinstance(phase, CoAllocatedPhase):
+            nodes = "+".join(str(c.nodes) for c in phase.components)
+        else:
+            nodes = str(phase.nodes)
+        return (f"{state.job.name} ({self._status[state.job.name].value}, "
+                f"phase {state.next_phase} {phase.name!r}, {nodes} nodes)")
+
     def run(self) -> ScheduleReport:
         """Run the event loop to completion and produce the report."""
         self.sim.run()
         terminal = len(self._completions) + len(self._failures_final)
         if terminal != self._submitted:
             missing = self._submitted - terminal
-            raise RuntimeError(f"{missing} jobs never completed — scheduler stuck")
+            stuck = "; ".join(self._describe(s) for s in self._ready[:10])
+            raise RuntimeError(
+                f"{missing} jobs never completed — scheduler stuck: {stuck}")
         makespan = max(
             [*self._completions.values(), *self._failures_final.values()],
             default=0.0,
         )
         utilisation: dict[str, float] = {}
-        for key, module in self.system.compute_modules().items():
+        for key, module in self._compute.items():
             busy = self._busy_node_seconds.get(key, 0.0)
             total = module.n_nodes * makespan
             utilisation[key] = busy / total if total > 0 else 0.0

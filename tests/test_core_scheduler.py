@@ -234,3 +234,32 @@ class TestHealthMonitors:
         scheduler.quarantine("esb", 3)
         scheduler.attach_health_monitor(lambda: {"esb": {5}})
         assert scheduler.suspect_nodes("esb") == frozenset({3, 5})
+
+
+class TestStuckDiagnosis:
+    def test_stuck_run_names_the_waiting_jobs(self, small_system, gpu_job,
+                                              cpu_job):
+        for module in small_system.compute_modules().values():
+            for node in range(module.n_nodes):
+                module.mark_down(node)
+        sched = MsaScheduler(small_system)
+        sched.submit_all([gpu_job("g0"), cpu_job("c0", nodes=3)])
+        with pytest.raises(RuntimeError) as err:
+            sched.run()
+        message = str(err.value)
+        assert message.startswith("2 jobs never completed — scheduler stuck")
+        assert "g0 (pending, phase 0 'train', 8 nodes)" in message
+        assert "c0 (pending, phase 0 'solve', 3 nodes)" in message
+
+    def test_stuck_diagnosis_lists_at_most_ten_jobs(self, small_system,
+                                                    cpu_job):
+        for module in small_system.compute_modules().values():
+            for node in range(module.n_nodes):
+                module.mark_down(node)
+        sched = MsaScheduler(small_system)
+        sched.submit_all([cpu_job(f"c{i}") for i in range(12)])
+        with pytest.raises(RuntimeError) as err:
+            sched.run()
+        message = str(err.value)
+        assert message.startswith("12 jobs never completed")
+        assert "c9 (pending" in message and "c10 (" not in message

@@ -7,12 +7,32 @@ running the optimized path against an unoptimized reference built from
 the still-exported primitives (``Simulator.step``, ``checksum_payload``,
 ``_flatten_grads``), so any future "optimization" that changes numerics
 fails here rather than drifting a digest silently.
+
+The scheduler's memoised placement scores have no unmemoised path left to
+replay, so they are pinned against schedule digests recorded before the
+memo existed.
 """
+
+import hashlib
 
 import numpy as np
 import pytest
 
 from repro import telemetry
+from repro.core import (
+    CoAllocatedPhase,
+    Job,
+    JobPhase,
+    MsaScheduler,
+    PlacementPolicy,
+    SchedulerPolicy,
+    WorkloadClass,
+    deep_system,
+    small_msa_system,
+    synthetic_workload_mix,
+)
+from repro.core import scheduler as scheduler_module
+from repro.core.jobs import phase_runtime
 from repro.distributed.horovod import (
     DistributedOptimizer,
     _flatten_grads,
@@ -26,7 +46,7 @@ from repro.ml.losses import cross_entropy
 from repro.mpi.comm import Communicator
 from repro.mpi.runtime import run_spmd
 from repro.mpi.transport import Transport
-from repro.resilience.faults import FaultPlan
+from repro.resilience.faults import FaultInjector, FaultKind, FaultPlan, FaultSpec
 from repro.resilience.integrity import (
     TRUSTED_CRC,
     CorruptionInjector,
@@ -396,3 +416,158 @@ class TestLazyEngineReplayPins:
         np.tanh(reused, out=reused)
         np.exp(reused, out=reused)
         assert np.array_equal(_bits(fresh), _bits(reused))
+
+
+# ---------------------------------------------------------------------------
+# Scheduler: memoised placement scores vs golden schedules
+# ---------------------------------------------------------------------------
+
+def _coalloc_job(name: str, arrival: float) -> Job:
+    return Job(name=name, arrival_time=arrival, user="insitu", phases=[
+        JobPhase(name="prep", workload=WorkloadClass.SIMULATION_LOWSCALE,
+                 work_flops=2e14, nodes=4, io_bytes=50e9),
+        CoAllocatedPhase(name="solve+analyse", coupling_bytes=50e9,
+                         components=(
+            JobPhase(name="solver",
+                     workload=WorkloadClass.SIMULATION_HIGHSCALE,
+                     work_flops=1e17, nodes=24, uses_gpu=True,
+                     parallel_fraction=0.99),
+            JobPhase(name="analytics",
+                     workload=WorkloadClass.DATA_ANALYTICS,
+                     work_flops=1e14, nodes=4,
+                     memory_GB_per_node=400.0),
+        )),
+    ])
+
+
+def _golden_schedule(queue, placement, seed: int, coalloc: bool = False,
+                     n_jobs: int = 60):
+    """One faulted backlog on ``deep_system()``: its report and digest.
+
+    The digest covers every allocation, wait time, terminal job status and
+    the busy/idle energy split — everything a placement decision moves.
+    """
+    jobs = synthetic_workload_mix(n_jobs=n_jobs, seed=seed,
+                                  mean_interarrival_s=60.0)
+    for job in jobs:  # one community per Fig. 2 class, for fair-share
+        job.user = job.name.rsplit("-", 1)[0]
+    if coalloc:
+        jobs += [_coalloc_job(f"insitu-{i}", jobs[i].arrival_time)
+                 for i in range(0, n_jobs, 10)]
+        jobs.sort(key=lambda j: j.arrival_time)
+    system = deep_system()
+    targets = {key: m.n_nodes for key, m in system.compute_modules().items()}
+    plan = FaultPlan.random(seed, targets, horizon_s=jobs[-1].arrival_time,
+                            n_crashes=4, n_stragglers=4, n_degrades=3,
+                            repair_s=600.0)
+    sched = MsaScheduler(system, queue_policy=queue, placement=placement,
+                         fault_injector=FaultInjector(plan))
+    sched.submit_all(jobs)
+    report = sched.run()
+    h = hashlib.blake2b(digest_size=8)
+    for a in report.allocations:
+        h.update(repr((a.job_name, a.phase_index, a.phase_name, a.module_key,
+                       a.nodes, a.start, a.end)).encode())
+    h.update(repr(sorted(report.wait_times.items())).encode())
+    h.update(repr(sorted((k, v.value)
+                         for k, v in report.job_status.items())).encode())
+    h.update(repr((report.energy_busy_joules,
+                   report.energy_idle_joules)).encode())
+    return report, h.hexdigest()
+
+
+class TestSchedulerScoreMemo:
+    """Placement scores are memoised per queued phase; these pins hold the
+    schedules the unmemoised scorer produced, byte for byte."""
+
+    #: blake2b digests of ``_golden_schedule``, recorded with the scheduler
+    #: that re-scored every queued phase on every event.
+    GOLDEN = {
+        ("FCFS", "MATCHMAKING", 1): "65e90e51b3f21413",
+        ("FCFS", "MATCHMAKING", 2): "c72382ea68859a9e",
+        ("FCFS", "FIRST_FIT", 1): "0889aea248ae50b6",
+        ("FCFS", "FIRST_FIT", 2): "885e8bf964f8e521",
+        ("FCFS_BACKFILL", "MATCHMAKING", 1): "462f4397ff9ae64d",
+        ("FCFS_BACKFILL", "MATCHMAKING", 2): "bc35df637fd5af2c",
+        ("FCFS_BACKFILL", "FIRST_FIT", 1): "df3d86eb8f7b28f1",
+        ("FCFS_BACKFILL", "FIRST_FIT", 2): "aece20eed21a51d3",
+        ("FAIR_SHARE", "MATCHMAKING", 1): "3511b97600867811",
+        ("FAIR_SHARE", "MATCHMAKING", 2): "7352e4af17078230",
+        ("FAIR_SHARE", "FIRST_FIT", 1): "7195ab7a17503f32",
+        ("FAIR_SHARE", "FIRST_FIT", 2): "a9cc11dce2c4700b",
+    }
+    GOLDEN_COALLOC = {
+        "FCFS": "a3b0e9cb8d511451",
+        "FCFS_BACKFILL": "ca7dcc79bf89b683",
+        "FAIR_SHARE": "eaf28f142ccccf6f",
+    }
+
+    @pytest.mark.parametrize("queue,placement,seed", sorted(GOLDEN))
+    def test_golden_schedule(self, queue, placement, seed):
+        report, digest = _golden_schedule(SchedulerPolicy[queue],
+                                          PlacementPolicy[placement], seed)
+        assert report.resilience.failures  # faults really hit running phases
+        assert digest == self.GOLDEN[queue, placement, seed]
+
+    @pytest.mark.parametrize("queue", sorted(GOLDEN_COALLOC))
+    def test_golden_coallocated_schedule(self, queue):
+        report, digest = _golden_schedule(SchedulerPolicy[queue],
+                                          PlacementPolicy.MATCHMAKING, 3,
+                                          coalloc=True)
+        assert any("/" in a.phase_name for a in report.allocations)
+        assert digest == self.GOLDEN_COALLOC[queue]
+
+    @pytest.mark.parametrize("degrade_at,duration,factor", [
+        (5000.0, 1e5, 10.0),    # degrade lands while the phase waits
+        (1000.0, 3000.0, 1.0),  # phase queued under a degrade that heals
+    ])
+    def test_link_degrade_rescores_a_queued_phase(self, degrade_at,
+                                                  duration, factor):
+        """A waiting phase's transfer term follows the live degrade state:
+        the placement made after the link changed uses the new factor."""
+        def gpu_phase(name, flops, io_bytes=0.0):
+            return JobPhase(name=name, workload=WorkloadClass.ML_TRAINING,
+                            work_flops=flops, nodes=8, parallel_fraction=0.99,
+                            uses_gpu=True, uses_tensor_cores=True,
+                            io_bytes=io_bytes)
+
+        system = small_msa_system(dam_nodes=0)
+        train = gpu_phase("train", 1e17, io_bytes=2e12)
+        prep = JobPhase(name="prep", workload=WorkloadClass.SIMULATION_LOWSCALE,
+                        work_flops=1e14, nodes=2)
+        plan = FaultPlan(seed=0, specs=(FaultSpec(
+            kind=FaultKind.LINK_DEGRADE, time=degrade_at, module="cm",
+            duration=duration, magnitude=10.0),))
+        sched = MsaScheduler(system, fault_injector=FaultInjector(plan))
+        # "hog" holds the whole booster until t=10700 s; "pipe" preps on the
+        # CM (done at 1562.5 s) and its training phase queues for the ESB.
+        sched.submit_all([Job("hog", [gpu_phase("hog", 1e18)]),
+                          Job("pipe", [prep, train])])
+        report = sched.run()
+        placed = report.allocations[-1]
+        assert (placed.job_name, placed.phase_name, placed.module_key) == (
+            "pipe", "train", "esb")
+        assert placed.start == 10700.0
+        xfer = system.inter_module_transfer_time("cm", "esb", train.io_bytes)
+        if factor != 1.0:
+            xfer *= factor
+        runtime = phase_runtime(train, system.module("esb"), 8,
+                                io_GBps=sched._io_GBps) + xfer
+        assert placed.end == placed.start + runtime
+
+    def test_scores_each_queued_phase_once(self, monkeypatch):
+        """A deep faulted backlog costs a handful of ``phase_runtime``
+        evaluations per placement, not a rescan of the queue per event."""
+        calls = [0]
+        real = scheduler_module.phase_runtime
+
+        def counted(*args, **kwargs):
+            calls[0] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(scheduler_module, "phase_runtime", counted)
+        report, _ = _golden_schedule(SchedulerPolicy.FCFS_BACKFILL,
+                                     PlacementPolicy.MATCHMAKING, 1,
+                                     n_jobs=100)
+        assert len(report.allocations) > 100
+        assert calls[0] <= 10 * len(report.allocations)
